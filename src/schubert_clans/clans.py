@@ -7,7 +7,9 @@ of matching labels matter, so (1,2,1,2), (2,1,2,1) and (5,7,5,7) are the
 same clan.  We keep a unique representative: labels are 1, 2, 3, ... in
 order of first occurrence, and every function in this package returns
 clans in that canonical form.  Equality and hashing of the plain tuples
-then implement clan equality.
+then implement clan equality.  Clans are validated only where they come in
+(:func:`normalize`, :func:`parse_clan`); inside the package the canonical
+tuples are trusted and rebuilt with the unchecked :func:`relabel`.
 
 The counting functions ``gamma_plus``, ``gamma_minus`` and ``gamma_cross``,
 the clan length and the orbit dimension are the combinatorial invariants of
@@ -47,15 +49,27 @@ def normalize(symbols: Iterable[Symbol]) -> Clan:
     bad = [label for label, c in counts.items() if c != 2]
     if bad:
         raise ValueError(f"unmatched pair label(s) {sorted(bad)}: each number must occur exactly twice")
-    relabel: dict[int, int] = {}
+    return relabel(raw)
+
+
+def relabel(symbols: Iterable[Symbol]) -> Clan:
+    """Rename pair labels 1, 2, 3, ... by first occurrence, unchecked.
+
+    The trusted inner step of :func:`normalize`, for symbol sequences that
+    are clans by construction.
+
+    >>> relabel((5, "+", 7, 7, 5))
+    (1, '+', 2, 2, 1)
+    """
+    names: dict[int, int] = {}
     out: list[Symbol] = []
-    for s in raw:
-        if s in (PLUS, MINUS):
+    for s in symbols:
+        if s == PLUS or s == MINUS:
             out.append(s)
         else:
-            if s not in relabel:
-                relabel[s] = len(relabel) + 1
-            out.append(relabel[s])
+            if s not in names:
+                names[s] = len(names) + 1
+            out.append(names[s])
     return tuple(out)
 
 
@@ -133,8 +147,8 @@ def mate(gamma: Clan, pos: int) -> int | None:
     s = gamma[pos - 1]
     if s in (PLUS, MINUS):
         return None
-    first, second = pair_positions(gamma)[s]
-    return second if pos == first else first
+    first = gamma.index(s) + 1
+    return gamma.index(s, pos) + 1 if pos == first else first
 
 
 def gamma_plus(gamma: Clan, i: int) -> int:

@@ -28,13 +28,6 @@ def _report(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _expansion_terms(expansion: dict) -> list[dict]:
-    return [
-        {"w": permutations.format_perm(w), "coeff": expansion[w]}
-        for w in sorted(expansion)
-    ]
-
-
 def _expansion_text(x, y, expansion) -> str:
     lhs = f"S_{permutations.format_perm(x)} * S_{permutations.format_perm(y)}"
     if not expansion:
@@ -84,11 +77,7 @@ def cmd_oracle_product(args) -> tuple[str, int]:
     doc = {
         "command": "oracle-product",
         "inputs": {"all_terms": bool(args.all_terms), "x": args.x, "y": args.y},
-        "output": {
-            "x": permutations.format_perm(x),
-            "y": permutations.format_perm(y),
-            "terms": _expansion_terms(expansion),
-        },
+        "output": richardson.expansion_json_dict(x, y, None, expansion),
     }
     if args.format == "text":
         return _expansion_text(x, y, expansion), 0

@@ -264,7 +264,8 @@ def expand_schubert(p: MultiPoly) -> dict[Perm, int]:
                 work[se] = newc
             else:
                 work.pop(se, None)
-        assert exps not in work, "leading term failed to cancel"
+        if exps in work:
+            raise AssertionError("leading term failed to cancel")
     return out
 
 

@@ -66,18 +66,11 @@ def shuffles_comparable(u: Perm, v: Perm, p: int) -> bool:
     Bruhat test on all admissible pairs.
     """
     _require_shuffles(u, v, p)
-    first = second = 0
-    for uj, vj in zip(u, v):
-        if uj > p and vj <= p:
-            first += 1
-        elif uj <= p and vj > p:
-            second += 1
-        if first < second:
-            return False
-    return True
+    return _first_failing_prefix(u, v, p) is None
 
 
-def _comparability_failure(u: Perm, v: Perm, p: int) -> str:
+def _first_failing_prefix(u: Perm, v: Perm, p: int) -> tuple[int, int, int] | None:
+    """The first i with F(i) < S(i), as (i, F(i), S(i)); None if u >= v."""
     first = second = 0
     for i, (uj, vj) in enumerate(zip(u, v), start=1):
         if uj > p and vj <= p:
@@ -85,14 +78,8 @@ def _comparability_failure(u: Perm, v: Perm, p: int) -> str:
         elif uj <= p and vj > p:
             second += 1
         if first < second:
-            return (
-                f"u = {permutations.format_perm(u)} is not >= v = {permutations.format_perm(v)}: "
-                f"at prefix i = {i} there are {first} positions with u > {p} >= v "
-                f"but {second} with v > {p} >= u; the pair names an empty Richardson "
-                f"variety, so the clan rule does not apply (use the polynomial oracle "
-                f"for the general product)"
-            )
-    raise AssertionError("called on a comparable pair")
+            return i, first, second
+    return None
 
 
 def clan_of_pair(u: Perm, v: Perm, p: int) -> Clan:
@@ -101,8 +88,17 @@ def clan_of_pair(u: Perm, v: Perm, p: int) -> Clan:
     >>> clan_of_pair((3, 6, 5, 4, 2, 1), (1, 4, 2, 3, 5, 6), 3)
     ('+', '-', 1, 2, 2, 1)
     """
-    if not shuffles_comparable(u, v, p):
-        raise IncomparableError(_comparability_failure(u, v, p))
+    _require_shuffles(u, v, p)
+    failure = _first_failing_prefix(u, v, p)
+    if failure is not None:
+        i, first, second = failure
+        raise IncomparableError(
+            f"u = {permutations.format_perm(u)} is not >= v = {permutations.format_perm(v)}: "
+            f"at prefix i = {i} there are {first} positions with u > {p} >= v "
+            f"but {second} with v > {p} >= u; the pair names an empty Richardson "
+            f"variety, so the clan rule does not apply (use the polynomial oracle "
+            f"for the general product)"
+        )
     symbols: list[clans.Symbol] = []
     open_stack: list[int] = []
     next_label = 1
@@ -115,14 +111,15 @@ def clan_of_pair(u: Perm, v: Perm, p: int) -> Clan:
             symbols.append(next_label)
             open_stack.append(next_label)
             next_label += 1
-        else:
-            # second occurrence: most recent unmated label; comparability
-            # guarantees the stack is never empty here
-            assert open_stack, "comparability check let an unmatchable closer through"
+        elif open_stack:
+            # second occurrence: most recent unmated label
             symbols.append(open_stack.pop())
-    assert not open_stack
-    gamma = clans.normalize(symbols)
-    assert clans.avoids_1212(gamma)
+        else:
+            raise AssertionError("comparability check let an unmatchable closer through")
+    # labels were opened in increasing order, so the tuple is canonical
+    gamma = tuple(symbols)
+    if open_stack or not clans.avoids_1212(gamma):
+        raise AssertionError(f"clan_of_pair built a bad clan {clans.format_clan(gamma)}")
     return gamma
 
 
@@ -203,7 +200,8 @@ def special_product(x: Perm, y: Perm, p: int, guard: int | None = None) -> dict[
     gamma = _product_clan(x, y, p)
     expansion = weak_order.brion_class(gamma, guard=guard)
     want = permutations.length(x) + permutations.length(y)
-    assert all(permutations.length(w) == want for w in expansion)
+    if any(permutations.length(w) != want for w in expansion):
+        raise AssertionError(f"clan rule gave a term outside length {want}")
     return expansion
 
 

@@ -17,6 +17,12 @@ word chosen, which lets :func:`act` pick a canonical one.
 The weak order graph has all (p,q)-clans as nodes and one labeled edge per
 non-fixing application.  Its sources are the sign-only clans, its unique
 sink is the dense clan, and every edge raises orbit dimension by one.
+
+Every edge is single.  For GL(p) x GL(q) in GL(p+q) each non-compact
+imaginary root is of type I: its cross action (plainly exchanging the two
+signs) moves the clan, so no double edge exists and Brion's weight
+2^(#double edges on a path) is always 1.  That is a theorem, checked by
+the test suite, not computed at run time.
 """
 
 from __future__ import annotations
@@ -29,13 +35,6 @@ from typing import NamedTuple, Sequence
 from . import clans, permutations
 from .clans import MINUS, PLUS, Clan
 from .permutations import Perm
-
-# In GL(p+q) acting through GL(p) x GL(q), every non-compact imaginary root
-# is type I: the cross action moves the orbit (see cross_swap), so the weak
-# order graph has no double edges and every path to the dense clan crosses
-# zero of them.  Brion's expansion weights a path by 2^(#double edges).
-DOUBLE_EDGES_ON_PATH = 0
-
 
 class RootType(enum.Enum):
     COMPLEX_SWAP = "complex-swap"
@@ -74,7 +73,7 @@ def cross_swap(i: int, gamma: Clan) -> Clan:
     """Cross action of s_i: plainly exchange the symbols at i, i+1."""
     raw = list(gamma)
     raw[i - 1], raw[i] = raw[i], raw[i - 1]
-    return clans.normalize(raw)
+    return clans.relabel(raw)
 
 
 def act_simple(i: int, gamma: Clan) -> Clan:
@@ -88,14 +87,11 @@ def act_simple(i: int, gamma: Clan) -> Clan:
         return gamma
     if kind is RootType.COMPLEX_SWAP:
         return cross_swap(i, gamma)
-    # non-compact imaginary: the two opposite signs become a nested pair.
-    # Type I certificate: the cross action must move the clan.
-    assert cross_swap(i, gamma) != gamma
-    fresh = len(gamma) + 1  # any unused label; normalize renames it
+    # non-compact imaginary: the two opposite signs become a nested pair
+    fresh = len(gamma) + 1  # any unused label; relabel renames it
     raw = list(gamma)
-    raw[i - 1] = fresh
-    raw[i] = fresh
-    return clans.normalize(raw)
+    raw[i - 1] = raw[i] = fresh
+    return clans.relabel(raw)
 
 
 def act_word(word: Sequence[int], gamma: Clan) -> Clan:
@@ -123,7 +119,6 @@ class Edge(NamedTuple):
     src: Clan
     dst: Clan
     root: int
-    mult: int
 
 
 @dataclass(frozen=True)
@@ -137,23 +132,17 @@ class WeakOrderGraph:
 def weak_order_graph(p: int, q: int, guard: int | None = None) -> WeakOrderGraph:
     """The full weak order graph on (p,q)-clans.
 
-    Edge multiplicity is computed honestly (2 would mean a type II root,
-    i.e. a cross-action fixed point) even though it is always 1 here.
+    One edge per (clan, root) that moves the clan.  Every edge is single
+    (see the module docstring), so edges carry no multiplicity.
     """
     nodes = tuple(clans.enumerate_clans(p, q, guard=guard))
     n = p + q
     edges = []
     for gamma in nodes:
         for i in range(1, n):
-            kind = classify_root(i, gamma)
-            if kind is RootType.FIXED:
-                continue
             target = act_simple(i, gamma)
-            if kind is RootType.NONCOMPACT_IMAGINARY and cross_swap(i, gamma) == gamma:
-                mult = 2
-            else:
-                mult = 1
-            edges.append(Edge(gamma, target, i, mult))
+            if target != gamma:
+                edges.append(Edge(gamma, target, i))
     return WeakOrderGraph(p, q, nodes, tuple(edges))
 
 
@@ -175,11 +164,8 @@ def graph_dot(graph: WeakOrderGraph) -> str:
     for gamma in graph.nodes:
         lines.append(f'  "{clans.format_clan(gamma)}";')
     for e in graph.edges:
-        attrs = f"label={e.root}"
-        if e.mult != 1:
-            attrs += f", style=bold, penwidth={e.mult}"
         lines.append(
-            f'  "{clans.format_clan(e.src)}" -> "{clans.format_clan(e.dst)}" [{attrs}];'
+            f'  "{clans.format_clan(e.src)}" -> "{clans.format_clan(e.dst)}" [label={e.root}];'
         )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -195,7 +181,7 @@ def graph_json_dict(graph: WeakOrderGraph) -> dict:
                 "src": clans.format_clan(e.src),
                 "dst": clans.format_clan(e.dst),
                 "root": e.root,
-                "mult": e.mult,
+                "mult": 1,  # every edge is single; the wire format keeps the field
             }
             for e in graph.edges
         ],
@@ -225,7 +211,6 @@ def w_set(gamma: Clan, guard: int | None = None) -> list[Perm]:
 
 def brion_class(gamma: Clan, guard: int | None = None) -> dict[Perm, int]:
     """Schubert-basis expansion of the orbit closure's class: each w in the
-    w-set contributes 2^(#double edges on its path), which is always 2^0
-    here since all edges are single."""
-    coeff = 2 ** DOUBLE_EDGES_ON_PATH
-    return {w: coeff for w in w_set(gamma, guard=guard)}
+    w-set contributes 2^(#double edges on its path), which is 1 since all
+    edges are single."""
+    return dict.fromkeys(w_set(gamma, guard=guard), 1)

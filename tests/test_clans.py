@@ -194,3 +194,16 @@ def test_normalize_validation():
     with pytest.raises(ValueError):
         C.normalize(("x",))
     assert C.normalize((7, "+", 7)) == (1, "+", 1)
+
+
+def test_relabel_and_mate():
+    for n in range(1, 6):
+        for p in range(n + 1):
+            for gamma in C.enumerate_clans(p, n - p):
+                renamed = tuple(s if s in ("+", "-") else 20 - s for s in gamma)
+                assert C.relabel(renamed) == gamma
+                for first, second in C.pair_positions(gamma).values():
+                    assert C.mate(gamma, first) == second
+                    assert C.mate(gamma, second) == first
+                assert all(C.mate(gamma, pos) is None
+                           for pos, s in enumerate(gamma, start=1) if s in ("+", "-"))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -109,6 +110,19 @@ def test_graph_dot_and_json(capsys):
     doc = json.loads(out)["output"]
     assert len(doc["nodes"]) == 55  # count_clans(3, 2)
     assert all(e["mult"] == 1 for e in doc["edges"])
+
+
+def test_graph_export_bytes_pinned(capsys):
+    # the JSON keeps "mult": 1 on every edge and the DOT edges carry only
+    # their root label; these digests pin both exports byte for byte
+    digests = {
+        "json": "5a377f1b94c71e4a0eeed9e15b17a4d250e74e41a8d6dceab67c97ad10ec4c83",
+        "dot": "7499dfd5b9678b38d4bb3672503d49cd2c5da75478dfa6ef650e51547e85c1b7",
+    }
+    for fmt, digest in digests.items():
+        code, out, _ = run_cli(capsys, "graph", "--p", "3", "--q", "3", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 def test_graph_guard(capsys):
