@@ -147,8 +147,8 @@ def cmd_clans(args) -> tuple[str, int]:
 
 def cmd_verify(args) -> tuple[str, int]:
     n = args.n
-    if not 1 <= n <= 6:
-        raise ValueError("verify sweeps are supported for 1 <= n <= 6")
+    if not 1 <= n <= 7:
+        raise ValueError("verify sweeps are supported for 1 <= n <= 7")
     checked = 0
     mismatches = []
     by_p = {}

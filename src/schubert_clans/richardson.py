@@ -251,7 +251,7 @@ def admissible_pairs(n: int, p: int) -> Iterator[tuple[Perm, Perm]]:
     """All comparable shuffle pairs (u, v) at p, lexicographically."""
     for u in descending_shuffles(n, p):
         for v in ascending_shuffles(n, p):
-            if shuffles_comparable(u, v, p):
+            if _first_failing_prefix(u, v, p) is None:
                 yield u, v
 
 

@@ -34,6 +34,7 @@ from typing import NamedTuple, Sequence
 
 from . import clans, permutations
 from .clans import MINUS, PLUS, Clan
+from .guards import DEFAULT_PERM_GUARD, PERM_GUARD_ENV, check_guard, resolve_guard
 from .permutations import Perm
 
 class RootType(enum.Enum):
@@ -160,26 +161,26 @@ def sinks(graph: WeakOrderGraph) -> list[Clan]:
 
 def graph_dot(graph: WeakOrderGraph) -> str:
     """DOT text: nodes labeled by clan text, edges by their root index."""
+    text = {g: clans.format_clan(g) for g in graph.nodes}
     lines = ["digraph weak_order {", "  rankdir=BT;"]
     for gamma in graph.nodes:
-        lines.append(f'  "{clans.format_clan(gamma)}";')
+        lines.append(f'  "{text[gamma]}";')
     for e in graph.edges:
-        lines.append(
-            f'  "{clans.format_clan(e.src)}" -> "{clans.format_clan(e.dst)}" [label={e.root}];'
-        )
+        lines.append(f'  "{text[e.src]}" -> "{text[e.dst]}" [label={e.root}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def graph_json_dict(graph: WeakOrderGraph) -> dict:
+    text = {g: clans.format_clan(g) for g in graph.nodes}
     return {
         "p": graph.p,
         "q": graph.q,
-        "nodes": [clans.format_clan(g) for g in graph.nodes],
+        "nodes": [text[g] for g in graph.nodes],
         "edges": [
             {
-                "src": clans.format_clan(e.src),
-                "dst": clans.format_clan(e.dst),
+                "src": text[e.src],
+                "dst": text[e.dst],
                 "root": e.root,
                 "mult": 1,  # every edge is single; the wire format keeps the field
             }
@@ -193,20 +194,44 @@ def graph_json(graph: WeakOrderGraph) -> str:
 
 
 def w_set(gamma: Clan, guard: int | None = None) -> list[Perm]:
-    """All w of length codim(gamma) whose action takes gamma to the dense clan.
+    """All w of length codim(gamma) whose action takes gamma to the dense
+    clan, in lexicographic one-line order.
 
     These index the Schubert classes appearing in the orbit closure's
-    fundamental class.
+    fundamental class.  Brion's paths give them by a descent through the
+    clans above gamma, memoised per clan within one call:
+
+        W(dense) = {e}
+        W(gamma) = { w'.s_i : s_i moves gamma to gamma', w' in W(gamma'),
+                     w'(i) < w'(i+1) }
+
+    The last condition makes w'.s_i one longer than w'.  The work grows
+    with the clans visited, not with S_n; the perm guard still caps n.
+
+    >>> w_set((1, 2, 1, 2))
+    [(1, 2, 4, 3), (2, 1, 3, 4)]
     """
     p, q = clans.signature(gamma)
     n = p + q
-    codim = n * (n - 1) // 2 - clans.orbit_dimension(gamma)
-    target = clans.dense_clan(p, q)
-    return [
-        w
-        for w in permutations.enumerate_by_length(n, codim, guard=guard)
-        if act(w, gamma) == target
-    ]
+    limit = resolve_guard(guard, PERM_GUARD_ENV, DEFAULT_PERM_GUARD)
+    check_guard(n, limit, f"w_set over S_{n}")
+    memo: dict[Clan, set[Perm]] = {clans.dense_clan(p, q): {permutations.identity(n)}}
+
+    def descend(clan: Clan) -> set[Perm]:
+        got = memo.get(clan)
+        if got is None:
+            got = set()
+            for i in range(1, n):
+                up = act_simple(i, clan)
+                if up == clan:
+                    continue
+                for w in descend(up):
+                    if w[i - 1] < w[i]:
+                        got.add(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :])
+            memo[clan] = got
+        return got
+
+    return sorted(descend(gamma))
 
 
 def brion_class(gamma: Clan, guard: int | None = None) -> dict[Perm, int]:

@@ -4,7 +4,9 @@ Shared brute-force oracles for the test suite.
 Everything here is deliberately independent of the package internals:
 inversions by double loop, Bruhat order by transitive closure of covering
 transpositions, Monk's rule by explicit transposition moves.  Tests compare
-the library against these, never the library against itself.
+the library against these, never the library against itself.  The one
+exception is :func:`w_set_scan`, the w-set by its definition, built from
+the package's action and length slices, which are tested on their own.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import json
 from importlib import resources
 
 import pytest
+
+from schubert_clans import clans, permutations, weak_order
 
 
 def inversions(w) -> int:
@@ -67,6 +71,20 @@ def monk_rule(x, k) -> dict:
             if inversions(t) == inversions(x) + 1:
                 out[t] = 1
     return out
+
+
+def w_set_scan(gamma) -> list:
+    """Every w in the length-codim(gamma) slice of S_n, in lexicographic
+    order, whose action takes gamma to the dense clan."""
+    p, q = clans.signature(gamma)
+    n = p + q
+    codim = n * (n - 1) // 2 - clans.orbit_dimension(gamma)
+    dense = clans.dense_clan(p, q)
+    return [
+        w
+        for w in permutations.enumerate_by_length(n, codim, guard=n)
+        if weak_order.act(w, gamma) == dense
+    ]
 
 
 @pytest.fixture(scope="session")

@@ -75,7 +75,7 @@ def test_criterion_2_example_product(golden_table):
 def test_criterion_3_oracle_equivalence_sweep():
     started = time.perf_counter()
     checked = 0
-    for n in range(2, 7):
+    for n in range(2, 8):
         for p in range(1, n):
             for u, v in R.admissible_pairs(n, p):
                 x = P.compose(P.longest(n), u)
@@ -84,7 +84,7 @@ def test_criterion_3_oracle_equivalence_sweep():
                 assert fast == slow, (n, p, u, v)
                 checked += 1
     elapsed = time.perf_counter() - started
-    report(3, f"clan rule == polynomial oracle on all {checked} pairs, n <= 6", elapsed, 300.0)
+    report(3, f"clan rule == polynomial oracle on all {checked} pairs, n <= 7", elapsed, 300.0)
 
 
 def test_criterion_4_action_well_defined():

@@ -159,9 +159,9 @@ def test_verify_max_cases(capsys):
 
 
 def test_verify_n_out_of_range(capsys):
-    code, _, err = run_cli(capsys, "verify", "--n", "7")
+    code, _, err = run_cli(capsys, "verify", "--n", "8")
     assert code == 2
-    assert "n <= 6" in err or "1 <= n <= 6" in err
+    assert "1 <= n <= 7" in err
 
 
 def test_table1(capsys):

@@ -1,10 +1,13 @@
+from math import prod
+
 import pytest
 
 from schubert_clans import clans as C
 from schubert_clans import permutations as P
 from schubert_clans import weak_order as W
+from schubert_clans.guards import PERM_GUARD_ENV, GuardError
 
-from conftest import all_perms
+from conftest import all_perms, w_set_scan
 
 
 def clans_upto(total):
@@ -206,6 +209,7 @@ def test_w_set_golden(golden_table):
 
 def test_w_set_dense_and_codim1():
     assert W.w_set(C.dense_clan(3, 2)) == [P.identity(5)]
+    assert W.w_set(("+",)) == [(1,)]
     got = W.w_set((1, 2, 1, 2))
     assert got == [(1, 2, 4, 3), (2, 1, 3, 4)]  # s_3 and s_1, lex order
 
@@ -216,6 +220,30 @@ def test_w_set_lengths():
         codim = n * (n - 1) // 2 - C.orbit_dimension(gamma)
         for w in W.w_set(gamma):
             assert P.length(w) == codim
+
+
+def test_w_set_matches_length_slice_scan():
+    for gamma in clans_upto(6):
+        assert W.w_set(gamma) == w_set_scan(gamma), gamma
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_w_set_sign_only_clan_has_one_term(n):
+    gamma = ("+",) * (n // 2) + ("-",) * (n - n // 2)
+    assert len(W.w_set(gamma, guard=12)) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_w_set_alternating_clan_double_factorial(n):
+    # |W| = (n-1)!!, checked against the length-slice scan for n = 2..9 only
+    gamma = tuple("+-"[k % 2] for k in range(n))
+    assert len(W.w_set(gamma)) == prod(range(n - 1, 0, -2))
+
+
+def test_w_set_guard(monkeypatch):
+    monkeypatch.delenv(PERM_GUARD_ENV, raising=False)
+    with pytest.raises(GuardError):
+        W.w_set(("+",) * 5 + ("-",) * 6)
 
 
 def test_brion_class():
