@@ -13,6 +13,7 @@ fails, 2 on bad input or an exceeded guard.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -243,7 +244,9 @@ def cmd_table1(args) -> tuple[str, int]:
     return _report(doc), 0 if match else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by :func:`main`."""
     parser = argparse.ArgumentParser(
         prog="schubert-clans",
         description=(
@@ -252,28 +255,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(sp, formats=("json", "text")):
-        sp.add_argument("--format", choices=formats, default="json")
-        sp.add_argument(
-            "--perm-guard",
-            type=int,
-            default=None,
-            help="largest S_n the command may enumerate (env SCHUBERT_CLANS_PERM_GUARD)",
-        )
-        sp.add_argument(
-            "--clan-guard",
-            type=int,
-            default=None,
-            help="largest p+q whose clans may be enumerated (env SCHUBERT_CLANS_CLAN_GUARD)",
-        )
+    json_text = ("json", "text")
+    perm_guard_help = "largest n whose w-set may be computed (env SCHUBERT_CLANS_PERM_GUARD)"
+    clan_guard_help = "largest p+q whose clans may be enumerated (env SCHUBERT_CLANS_CLAN_GUARD)"
 
     sp = sub.add_parser("product", help="expand S_x * S_y by the clan rule")
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--verify", action="store_true", help="cross-check against the oracle")
-    add_common(sp)
+    sp.add_argument("--format", choices=json_text, default="json")
+    sp.add_argument("--perm-guard", type=int, help=perm_guard_help)
     sp.set_defaults(handler=cmd_product)
 
     sp = sub.add_parser("oracle-product", help="expand any S_x * S_y by polynomial arithmetic")
@@ -284,41 +276,42 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="keep expansion terms outside the common S_n",
     )
-    add_common(sp)
+    sp.add_argument("--format", choices=json_text, default="json")
     sp.set_defaults(handler=cmd_oracle_product)
 
     sp = sub.add_parser("clan-of", help="the clan of a Richardson pair (u, v)")
     sp.add_argument("--u", required=True)
     sp.add_argument("--v", required=True)
     sp.add_argument("--p", type=int, required=True)
-    add_common(sp)
+    sp.add_argument("--format", choices=json_text, default="json")
     sp.set_defaults(handler=cmd_clan_of)
 
     sp = sub.add_parser("pair-of", help="the Richardson pair of a (1,2,1,2)-avoiding clan")
     sp.add_argument("--clan", required=True)
-    add_common(sp)
+    sp.add_argument("--format", choices=json_text, default="json")
     sp.set_defaults(handler=cmd_pair_of)
 
     sp = sub.add_parser("graph", help="export the weak order graph on (p,q)-clans")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
-    add_common(sp, formats=("json", "dot"))
+    sp.add_argument("--format", choices=("json", "dot"), default="json")
+    sp.add_argument("--clan-guard", type=int, help=clan_guard_help)
     sp.set_defaults(handler=cmd_graph)
 
     sp = sub.add_parser("clans", help="list all (p,q)-clans")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
-    add_common(sp)
+    sp.add_argument("--format", choices=json_text, default="json")
+    sp.add_argument("--clan-guard", type=int, help=clan_guard_help)
     sp.set_defaults(handler=cmd_clans)
 
     sp = sub.add_parser("verify", help="sweep all admissible pairs, clan rule vs oracle")
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--max-cases", type=int, default=None)
-    add_common(sp)
+    sp.add_argument("--perm-guard", type=int, help=perm_guard_help)
     sp.set_defaults(handler=cmd_verify)
 
     sp = sub.add_parser("table1", help="regenerate the golden 20-row product table and diff it")
-    add_common(sp)
     sp.set_defaults(handler=cmd_table1)
 
     return parser

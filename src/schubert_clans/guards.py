@@ -19,7 +19,8 @@ PERM_GUARD_ENV = "SCHUBERT_CLANS_PERM_GUARD"
 CLAN_GUARD_ENV = "SCHUBERT_CLANS_CLAN_GUARD"
 WORD_GUARD_ENV = "SCHUBERT_CLANS_WORD_GUARD"
 
-# Degree n up to which S_n may be enumerated (by length slice or in full).
+# Largest n for which w_set may run on a clan of length n, and for which
+# enumerate_by_length may list a length slice of S_n.
 DEFAULT_PERM_GUARD = 10
 # Largest p+q for which the set of (p,q)-clans may be enumerated.
 DEFAULT_CLAN_GUARD = 12

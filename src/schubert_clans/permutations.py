@@ -12,7 +12,7 @@ comma-separated ``"3,5,2,4,1"`` for larger n; both are accepted on input.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .guards import (
     DEFAULT_PERM_GUARD,
@@ -294,15 +294,6 @@ def enumerate_by_length(n: int, k: int, guard: int | None = None) -> list[Perm]:
 
     fill(0, k)
     return out
-
-
-def all_perms(n: int, guard: int | None = None) -> Iterator[Perm]:
-    """All of S_n in lexicographic order."""
-    limit = resolve_guard(guard, PERM_GUARD_ENV, DEFAULT_PERM_GUARD)
-    check_guard(n, limit, f"enumeration of S_{n}")
-    import itertools
-
-    return itertools.permutations(range(1, n + 1))
 
 
 def trim(w: Perm) -> Perm:

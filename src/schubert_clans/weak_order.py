@@ -28,7 +28,6 @@ the test suite, not computed at run time.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -37,62 +36,46 @@ from .clans import MINUS, PLUS, Clan
 from .guards import DEFAULT_PERM_GUARD, PERM_GUARD_ENV, check_guard, resolve_guard
 from .permutations import Perm
 
+
 class RootType(enum.Enum):
     COMPLEX_SWAP = "complex-swap"
     NONCOMPACT_IMAGINARY = "noncompact-imaginary"
     FIXED = "fixed"
 
 
-def _is_sign(s) -> bool:
-    return s == PLUS or s == MINUS
-
-
 def classify_root(i: int, gamma: Clan) -> RootType:
     """Which action rule (if any) applies to gamma at index i."""
-    n = len(gamma)
-    if not 1 <= i <= n - 1:
-        raise IndexError(f"root index must lie in 1..{n - 1}, got {i}")
-    a, b = gamma[i - 1], gamma[i]
-    if _is_sign(a) and _is_sign(b):
-        return RootType.NONCOMPACT_IMAGINARY if a != b else RootType.FIXED
-    if _is_sign(a):
-        # b is a number at position i+1; moves iff its mate is to the right
-        return RootType.COMPLEX_SWAP if clans.mate(gamma, i + 1) > i + 1 else RootType.FIXED
-    if _is_sign(b):
-        # a is a number at position i; moves iff its mate is to the left
-        return RootType.COMPLEX_SWAP if clans.mate(gamma, i) < i else RootType.FIXED
-    if a == b:
+    if act_simple(i, gamma) == gamma:
         return RootType.FIXED
-    return (
-        RootType.COMPLEX_SWAP
-        if clans.mate(gamma, i) < clans.mate(gamma, i + 1)
-        else RootType.FIXED
-    )
-
-
-def cross_swap(i: int, gamma: Clan) -> Clan:
-    """Cross action of s_i: plainly exchange the symbols at i, i+1."""
-    raw = list(gamma)
-    raw[i - 1], raw[i] = raw[i], raw[i - 1]
-    return clans.relabel(raw)
+    if gamma[i - 1] in (PLUS, MINUS) and gamma[i] in (PLUS, MINUS):
+        return RootType.NONCOMPACT_IMAGINARY
+    return RootType.COMPLEX_SWAP
 
 
 def act_simple(i: int, gamma: Clan) -> Clan:
-    """s_i acting on gamma; returns gamma itself in the fixed case.
+    """s_i acting on gamma by the rules of the module docstring; returns
+    gamma itself in the fixed case.
 
     >>> act_simple(2, ('+', '+', '-', '-'))
     ('+', 1, 1, '-')
     """
-    kind = classify_root(i, gamma)
-    if kind is RootType.FIXED:
+    if not 1 <= i < len(gamma):
+        raise IndexError(f"root index must lie in 1..{len(gamma) - 1}, got {i}")
+    a, b = gamma[i - 1], gamma[i]
+    if a in (PLUS, MINUS):
+        if b in (PLUS, MINUS):
+            if a == b:
+                return gamma
+            # opposite signs become a nested pair; 0 is a fresh label
+            return clans.relabel(gamma[: i - 1] + (0, 0) + gamma[i + 1 :])
+        moves = gamma.index(b) == i  # b's pair opens at i+1
+    elif b in (PLUS, MINUS):
+        moves = gamma.index(a) < i - 1  # a's pair closes at i
+    else:
+        moves = a != b and clans.mate(gamma, i) < clans.mate(gamma, i + 1)
+    if not moves:
         return gamma
-    if kind is RootType.COMPLEX_SWAP:
-        return cross_swap(i, gamma)
-    # non-compact imaginary: the two opposite signs become a nested pair
-    fresh = len(gamma) + 1  # any unused label; relabel renames it
-    raw = list(gamma)
-    raw[i - 1] = raw[i] = fresh
-    return clans.relabel(raw)
+    return clans.relabel(gamma[: i - 1] + (b, a) + gamma[i + 1 :])
 
 
 def act_word(word: Sequence[int], gamma: Clan) -> Clan:
@@ -187,10 +170,6 @@ def graph_json_dict(graph: WeakOrderGraph) -> dict:
             for e in graph.edges
         ],
     }
-
-
-def graph_json(graph: WeakOrderGraph) -> str:
-    return json.dumps(graph_json_dict(graph), indent=2, sort_keys=True) + "\n"
 
 
 def w_set(gamma: Clan, guard: int | None = None) -> list[Perm]:

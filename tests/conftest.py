@@ -73,6 +73,32 @@ def monk_rule(x, k) -> dict:
     return out
 
 
+def act_simple_rules(i, gamma):
+    """s_i on a canonical clan by the four rules of the weak_order module
+    docstring, read off mate positions (1-indexed), then relabelled by first
+    occurrence."""
+    signs = ("+", "-")
+
+    def mate(pos):
+        others = (k for k in range(1, len(gamma) + 1) if k != pos)
+        return next(k for k in others if gamma[k - 1] == gamma[pos - 1])
+
+    a, b = gamma[i - 1], gamma[i]
+    raw = list(gamma)
+    if a in signs and b in signs and a != b:
+        raw[i - 1] = raw[i] = "fresh"
+    elif (
+        (a in signs and b not in signs and mate(i + 1) > i + 1)
+        or (a not in signs and b in signs and mate(i) < i)
+        or (a not in signs and b not in signs and a != b and mate(i) < mate(i + 1))
+    ):
+        raw[i - 1], raw[i] = b, a
+    else:
+        return gamma
+    names = {}
+    return tuple(s if s in signs else names.setdefault(s, len(names) + 1) for s in raw)
+
+
 def w_set_scan(gamma) -> list:
     """Every w in the length-codim(gamma) slice of S_n, in lexicographic
     order, whose action takes gamma to the dense clan."""

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from schubert_clans import cli
 
 
@@ -30,6 +32,46 @@ def test_product_without_verify_has_no_verdict(capsys):
     doc = json.loads(out)
     assert "verdict" not in doc
     assert doc["output"]["terms"] == [{"coeff": 1, "w": "12345"}]
+
+
+def test_cached_parser_keeps_no_state_between_calls(capsys):
+    code, out, _ = run_cli(
+        capsys, "product", "--x", "31425", "--y", "14253", "--p", "3", "--verify"
+    )
+    assert code == 0
+    assert json.loads(out)["inputs"]["verify"] is True
+    code, out, _ = run_cli(capsys, "product", "--x", "31425", "--y", "14253", "--p", "3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["inputs"]["verify"] is False
+    assert "verdict" not in doc
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_product_perm_guard_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "product", "--x", "31425", "--y", "14253", "--p", "3", "--perm-guard", "4"
+    )
+    assert code == 2
+    assert out == ""
+    assert "guard" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle-product", "--x", "21", "--y", "21", "--perm-guard", "5"),
+        ("product", "--x", "21", "--y", "12", "--p", "1", "--clan-guard", "5"),
+        ("graph", "--p", "1", "--q", "1", "--perm-guard", "5"),
+        ("verify", "--n", "3", "--format", "json"),
+        ("table1", "--format", "json"),
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_output_byte_stable(capsys):

@@ -7,7 +7,7 @@ from schubert_clans import permutations as P
 from schubert_clans import weak_order as W
 from schubert_clans.guards import PERM_GUARD_ENV, GuardError
 
-from conftest import all_perms, w_set_scan
+from conftest import act_simple_rules, all_perms, w_set_scan
 
 
 def clans_upto(total):
@@ -52,6 +52,15 @@ def test_act_simple_examples():
     assert W.act_simple(1, ("+", "+", "-", "-")) == ("+", "+", "-", "-")
 
 
+def test_act_simple_follows_the_rules():
+    # every (clan, root) with p+q <= 7 against the docstring's four rules
+    for gamma in clans_upto(7):
+        for i in range(1, len(gamma)):
+            want = act_simple_rules(i, gamma)
+            assert W.act_simple(i, gamma) == want, (i, gamma)
+            assert (W.classify_root(i, gamma) is W.RootType.FIXED) == (want == gamma)
+
+
 def test_act_simple_idempotent():
     for gamma in clans_upto(5):
         for i in range(1, len(gamma)):
@@ -73,7 +82,8 @@ def test_type_one_certificate():
     for gamma in clans_upto(5):
         for i in range(1, len(gamma)):
             if W.classify_root(i, gamma) is W.RootType.NONCOMPACT_IMAGINARY:
-                assert W.cross_swap(i, gamma) != gamma
+                crossed = gamma[: i - 1] + (gamma[i], gamma[i - 1]) + gamma[i + 1 :]
+                assert crossed != gamma
 
 
 # word action
