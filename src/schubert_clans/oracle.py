@@ -1,5 +1,5 @@
 """
-Brute-force Schubert calculus over exact integer polynomials.
+Schubert calculus over exact integer polynomials.
 
 This module is the independent verifier for the clan rule: it knows nothing
 about clans and expands arbitrary products S_x . S_y by actual polynomial
@@ -10,17 +10,22 @@ back into the basis by greedy subtraction of leading terms.
 The greedy step leans on one structural fact, enforced by test rather than
 assumed: ordering monomials right-to-left lexicographically (compare
 exponent vectors from the last coordinate), the leading monomial of S_w is
-x^code(w) with coefficient 1.  Subtracting coeff * S_w therefore strictly
-shrinks the leading term, and the exponent-to-code bijection names the next
-basis element for free.
+x^code(w) with coefficient 1, and every other monomial of S_w lies below
+it.  Subtracting coeff * S_w therefore strictly shrinks the leading term,
+the exponent-to-code bijection names the next basis element for free, and
+no subtraction adds a monomial above the current leader.  The last point
+lets the leaders come off a heap filled as monomials appear, instead of a
+scan of the whole working polynomial for each output term.
 
 Everything is exact: coefficients are Python ints and the divided
 difference is computed monomial by monomial as a geometric sum, so no
-rational intermediates ever appear.  Deliberately slow, deliberately dumb.
+rational intermediates ever appear.
 """
 
 from __future__ import annotations
 
+import heapq
+import operator
 from typing import Mapping
 
 from . import permutations
@@ -104,7 +109,7 @@ class MultiPoly:
         out: dict[ExpVec, int] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
+                key = tuple(map(operator.add, e1, e2))
                 newc = out.get(key, 0) + c1 * c2
                 if newc:
                     out[key] = newc
@@ -224,11 +229,12 @@ def schubert_poly(w: Perm, m: int) -> MultiPoly:
     """
     if not permutations.is_perm(w):
         raise ValueError(f"{w} is not a permutation")
-    coeffs = _schubert_min(permutations.trim(w))
+    wt = permutations.trim(w)
+    coeffs = _schubert_min(wt)
     needed = _vars_needed(coeffs)
     if m < needed:
         raise ValueError(f"S_{permutations.format_perm(w)} uses {needed} variables, m = {m} is too small")
-    if m == len(permutations.trim(w)):
+    if m == len(wt):
         return MultiPoly._raw(m, dict(coeffs))
     return MultiPoly._raw(m, {e[:m] + (0,) * (m - len(e[:m])): c for e, c in coeffs.items()})
 
@@ -247,26 +253,43 @@ def expand_schubert(p: MultiPoly) -> dict[Perm, int]:
     next permutation to subtract.  Keys are trimmed permutations.  Products
     of Schubert polynomials give nonnegative coefficients; arbitrary input
     is allowed and may produce signed output.
+
+    The leaders come off a heap, which the module docstring's fact makes
+    sound: a key is pushed when it enters the working polynomial and
+    skipped when it is popped after it has cancelled.
     """
     work = dict(p.coeffs)
+    heap = [(_heap_key(e), e) for e in work]
+    heapq.heapify(heap)
     out: dict[Perm, int] = {}
-    while work:
-        exps = max(work, key=lambda e: e[::-1])
-        c = work[exps]
+    while heap:
+        exps = heapq.heappop(heap)[1]
+        c = work.get(exps)
+        if c is None:
+            continue
         lead = list(exps)
         while lead and lead[-1] == 0:
             lead.pop()
         w = permutations.code_to_perm(tuple(lead))
         out[w] = out.get(w, 0) + c
         for se, sc in schubert_poly(w, p.arity).coeffs.items():
-            newc = work.get(se, 0) - c * sc
-            if newc:
-                work[se] = newc
+            drop = c * sc
+            old = work.get(se)
+            if old is None:
+                work[se] = -drop
+                heapq.heappush(heap, (_heap_key(se), se))
+            elif old == drop:
+                del work[se]
             else:
-                work.pop(se, None)
+                work[se] = old - drop
         if exps in work:
             raise AssertionError("leading term failed to cancel")
     return out
+
+
+def _heap_key(exps: ExpVec) -> ExpVec:
+    """Sort key under which heapq's minimum is the right-to-left leader."""
+    return tuple(map(operator.neg, reversed(exps)))
 
 
 def reconstruct(expansion: Mapping[Perm, int], m: int) -> MultiPoly:

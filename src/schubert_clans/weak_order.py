@@ -68,14 +68,22 @@ def act_simple(i: int, gamma: Clan) -> Clan:
                 return gamma
             # opposite signs become a nested pair; 0 is a fresh label
             return clans.relabel(gamma[: i - 1] + (0, 0) + gamma[i + 1 :])
-        moves = gamma.index(b) == i  # b's pair opens at i+1
+        if gamma.index(b) != i:  # b's pair must open at i+1
+            return gamma
     elif b in (PLUS, MINUS):
-        moves = gamma.index(a) < i - 1  # a's pair closes at i
-    else:
-        moves = a != b and clans.mate(gamma, i) < clans.mate(gamma, i + 1)
-    if not moves:
+        if gamma.index(a) >= i - 1:  # a's pair must close at i
+            return gamma
+    elif a == b:
         return gamma
-    return clans.relabel(gamma[: i - 1] + (b, a) + gamma[i + 1 :])
+    else:
+        mate_a = clans.mate(gamma, i)
+        if mate_a > clans.mate(gamma, i + 1):
+            return gamma
+        if mate_a > i:
+            # both pairs open here, so their first occurrences trade places
+            return clans.relabel(gamma[: i - 1] + (b, a) + gamma[i + 1 :])
+    # no first occurrence changes order: the swapped tuple is canonical
+    return gamma[: i - 1] + (b, a) + gamma[i + 1 :]
 
 
 def act_word(word: Sequence[int], gamma: Clan) -> Clan:

@@ -4,9 +4,11 @@ Shared brute-force oracles for the test suite.
 Everything here is deliberately independent of the package internals:
 inversions by double loop, Bruhat order by transitive closure of covering
 transpositions, Monk's rule by explicit transposition moves.  Tests compare
-the library against these, never the library against itself.  The one
-exception is :func:`w_set_scan`, the w-set by its definition, built from
-the package's action and length slices, which are tested on their own.
+the library against these, never the library against itself.  The
+exceptions are :func:`w_set_scan`, the w-set by its definition, built from
+the package's action and length slices, and :func:`expand_schubert_scan`,
+the greedy Schubert expansion by a full scan for each leader, built from the
+package's Schubert polynomials; those pieces are tested on their own.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from importlib import resources
 
 import pytest
 
-from schubert_clans import clans, permutations, weak_order
+from schubert_clans import clans, oracle, permutations, weak_order
 
 
 def inversions(w) -> int:
@@ -111,6 +113,31 @@ def w_set_scan(gamma) -> list:
         for w in permutations.enumerate_by_length(n, codim, guard=n)
         if weak_order.act(w, gamma) == dense
     ]
+
+
+def expand_schubert_scan(poly) -> dict:
+    """{w: coeff} with poly = sum coeff * S_w, greedily: scan the whole
+    working polynomial for its right-to-left leader, read it as a Lehmer
+    code and subtract that Schubert polynomial."""
+    work = dict(poly.coeffs)
+    out = {}
+    while work:
+        exps = max(work, key=lambda e: e[::-1])
+        c = work[exps]
+        lead = list(exps)
+        while lead and lead[-1] == 0:
+            lead.pop()
+        w = permutations.code_to_perm(tuple(lead))
+        out[w] = out.get(w, 0) + c
+        for se, sc in oracle.schubert_poly(w, poly.arity).coeffs.items():
+            newc = work.get(se, 0) - c * sc
+            if newc:
+                work[se] = newc
+            else:
+                work.pop(se, None)
+        if exps in work:
+            raise AssertionError("leading term failed to cancel")
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ from schubert_clans import oracle as O
 from schubert_clans import permutations as P
 from schubert_clans.oracle import MultiPoly
 
-from conftest import all_perms, monk_rule
+from conftest import all_perms, expand_schubert_scan, monk_rule
 
 
 def polys(max_arity=5):
@@ -183,6 +183,23 @@ def test_expand_signed_input():
 def test_expand_reconstructs(p):
     expansion = O.expand_schubert(p)
     assert O.reconstruct(expansion, p.arity) == p
+
+
+@given(polys(max_arity=4))
+@settings(max_examples=100)
+def test_expand_matches_scan(p):
+    # signed input: monomials cancel and come back while the heap holds them
+    assert list(O.expand_schubert(p).items()) == list(expand_schubert_scan(p).items())
+
+
+def test_expand_matches_scan_on_s4_products():
+    for x in all_perms(4):
+        sx = O.schubert_poly(x, 7)
+        for y in all_perms(4):
+            product = O.multiply(sx, O.schubert_poly(y, 7))
+            assert list(O.expand_schubert(product).items()) == list(
+                expand_schubert_scan(product).items()
+            )
 
 
 # products

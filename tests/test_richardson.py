@@ -1,4 +1,8 @@
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubert_clans import clans as C
 from schubert_clans import oracle as O
@@ -180,6 +184,23 @@ def test_oracle_equivalence_n4():
             fast = R.special_product(x, v, p)
             slow = O.restrict_to_degree(O.oracle_product(x, v), 4)
             assert fast == slow, (p, u, v)
+
+
+@functools.cache
+def admissible_list(n, p):
+    return list(R.admissible_pairs(n, p))
+
+
+@pytest.mark.parametrize("n", [8, 9])
+@given(data=st.data())
+@settings(max_examples=12, derandomize=True, deadline=None)
+def test_oracle_equivalence_random_pairs(n, data):
+    p = data.draw(st.integers(1, n - 1), label="p")
+    u, v = data.draw(st.sampled_from(admissible_list(n, p)), label="(u, v)")
+    x = P.compose(P.longest(n), u)
+    fast = R.special_product(x, v, p)
+    slow = O.restrict_to_degree(O.oracle_product(x, v), n)
+    assert fast == slow
 
 
 # enumeration helpers and the wire format

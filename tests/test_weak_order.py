@@ -61,6 +61,14 @@ def test_act_simple_follows_the_rules():
             assert (W.classify_root(i, gamma) is W.RootType.FIXED) == (want == gamma)
 
 
+def test_act_simple_returns_canonical_clans():
+    # act_simple relabels only the nested-pair and both-open moves
+    for gamma in clans_upto(7):
+        for i in range(1, len(gamma)):
+            moved = W.act_simple(i, gamma)
+            assert C.relabel(moved) == moved, (i, gamma)
+
+
 def test_act_simple_idempotent():
     for gamma in clans_upto(5):
         for i in range(1, len(gamma)):
