@@ -28,7 +28,6 @@ from .oracle import (
     MultiPoly,
     divided_difference,
     expand_schubert,
-    monk_product,
     multiply,
     oracle_product,
     restrict_to_degree,
@@ -36,9 +35,6 @@ from .oracle import (
 )
 from .permutations import (
     Perm,
-    all_reduced_words,
-    bruhat_leq_prefix,
-    bruhat_leq_rank,
     code,
     code_to_perm,
     compose,
@@ -51,7 +47,6 @@ from .permutations import (
     length,
     longest,
     parse_perm,
-    rank,
     reduced_word,
 )
 from .richardson import (

@@ -150,6 +150,8 @@ def cmd_verify(args) -> tuple[str, int]:
     n = args.n
     if not 1 <= n <= 7:
         raise ValueError("verify sweeps are supported for 1 <= n <= 7")
+    if args.max_cases is not None and args.max_cases < 1:
+        raise ValueError(f"--max-cases must be at least 1, got {args.max_cases}")
     checked = 0
     mismatches = []
     by_p = {}

@@ -2,11 +2,12 @@
 Safety guards for the enumerative operations.
 
 Everything in this package is exact and exhaustive, so the cost of an
-operation is governed by how many objects it enumerates.  The guards below
-put a ceiling on that.  Exceeding a guard raises :class:`GuardError`, never
-silently truncates.
+operation is governed by how many objects it enumerates.  Two guards put a
+ceiling on that: the perm guard on the n of a w-set or a length slice of
+S_n, and the clan guard on the p + q of a clan enumeration.  Exceeding a
+guard raises :class:`GuardError`, never silently truncates.
 
-Each guard has a safe default, can be overridden per call (every enumerating
+Each guard has a safe default, can be overridden per call (every guarded
 function takes a ``guard=`` argument), and can be raised globally through an
 environment variable for users who want to trade time for scale.
 """
@@ -17,15 +18,12 @@ import os
 
 PERM_GUARD_ENV = "SCHUBERT_CLANS_PERM_GUARD"
 CLAN_GUARD_ENV = "SCHUBERT_CLANS_CLAN_GUARD"
-WORD_GUARD_ENV = "SCHUBERT_CLANS_WORD_GUARD"
 
 # Largest n for which w_set may run on a clan of length n, and for which
 # enumerate_by_length may list a length slice of S_n.
 DEFAULT_PERM_GUARD = 10
 # Largest p+q for which the set of (p,q)-clans may be enumerated.
 DEFAULT_CLAN_GUARD = 12
-# Largest Coxeter length for which all reduced words may be listed.
-DEFAULT_WORD_GUARD = 12
 
 
 class GuardError(RuntimeError):

@@ -209,15 +209,11 @@ def _schubert_min(w: Perm) -> dict[ExpVec, int]:
     return result
 
 
-def _vars_needed(coeffs: Mapping[ExpVec, int]) -> int:
-    """Index of the last variable actually used."""
-    needed = 0
-    for exps in coeffs:
-        for i in range(len(exps) - 1, needed - 1, -1):
-            if exps[i]:
-                needed = max(needed, i + 1)
-                break
-    return needed
+def _last_descent(w: Perm) -> int:
+    """The last i with w(i) > w(i+1), or 0 for the identity.  S_w lies in
+    Z[x_1..x_k] exactly when k >= i (Macdonald, Notes on Schubert
+    Polynomials), so i is the number of variables S_w uses."""
+    return next((i for i in range(len(w) - 1, 0, -1) if w[i - 1] > w[i]), 0)
 
 
 def schubert_poly(w: Perm, m: int) -> MultiPoly:
@@ -231,19 +227,12 @@ def schubert_poly(w: Perm, m: int) -> MultiPoly:
         raise ValueError(f"{w} is not a permutation")
     wt = permutations.trim(w)
     coeffs = _schubert_min(wt)
-    needed = _vars_needed(coeffs)
+    needed = _last_descent(wt)
     if m < needed:
         raise ValueError(f"S_{permutations.format_perm(w)} uses {needed} variables, m = {m} is too small")
     if m == len(wt):
         return MultiPoly._raw(m, dict(coeffs))
     return MultiPoly._raw(m, {e[:m] + (0,) * (m - len(e[:m])): c for e, c in coeffs.items()})
-
-
-def leading_exponent(p: MultiPoly) -> ExpVec | None:
-    """Greatest exponent vector in right-to-left lexicographic order."""
-    if not p.coeffs:
-        return None
-    return max(p.coeffs, key=lambda e: e[::-1])
 
 
 def expand_schubert(p: MultiPoly) -> dict[Perm, int]:
@@ -292,14 +281,6 @@ def _heap_key(exps: ExpVec) -> ExpVec:
     return tuple(map(operator.neg, reversed(exps)))
 
 
-def reconstruct(expansion: Mapping[Perm, int], m: int) -> MultiPoly:
-    """Sum coeff * S_w back into a polynomial; exact inverse of expansion."""
-    total = MultiPoly.zero(m)
-    for w, c in expansion.items():
-        total = total + schubert_poly(w, m) * c
-    return total
-
-
 def oracle_product(x: Perm, y: Perm) -> dict[Perm, int]:
     """Expansion of S_x . S_y by multiplying actual polynomials.
 
@@ -327,16 +308,3 @@ def restrict_to_degree(expansion: Mapping[Perm, int], n: int) -> dict[Perm, int]
         if len(wt) <= n:
             out[permutations.pad(wt, n)] = c
     return out
-
-
-def monk_product(x: Perm, k: int) -> dict[Perm, int]:
-    """S_x . S_{s_k} through the oracle.
-
-    The classical rule says the result is multiplicity-free with keys the
-    transpositions of x across position k that add one inversion; tests use
-    that as a cross-check on the whole pipeline.
-    """
-    n = len(x)
-    if not 1 <= k <= n - 1:
-        raise IndexError(f"descent position must lie in 1..{n - 1}")
-    return oracle_product(x, permutations.simple(k, n))

@@ -14,14 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .guards import (
-    DEFAULT_PERM_GUARD,
-    DEFAULT_WORD_GUARD,
-    PERM_GUARD_ENV,
-    WORD_GUARD_ENV,
-    check_guard,
-    resolve_guard,
-)
+from .guards import DEFAULT_PERM_GUARD, PERM_GUARD_ENV, check_guard, resolve_guard
 
 Perm = tuple[int, ...]
 
@@ -86,56 +79,6 @@ def length(w: Perm) -> int:
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
 
 
-def rank(w: Perm, i: int, j: int) -> int:
-    """The rank-matrix entry ``#{k <= i | w(k) <= j}``.
-
-    >>> rank((2, 1, 4, 3), 2, 2)
-    2
-    """
-    n = len(w)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise IndexError(f"rank indices must lie in 1..{n}, got ({i}, {j})")
-    return sum(1 for k in range(i) if w[k] <= j)
-
-
-def rank_matrix(w: Perm) -> tuple[tuple[int, ...], ...]:
-    """Full n x n rank matrix; row i, column j holds rank(w, i, j)."""
-    n = len(w)
-    rows = []
-    prev = (0,) * n
-    for i in range(1, n + 1):
-        row = list(prev)
-        for j in range(w[i - 1], n + 1):
-            row[j - 1] += 1
-        prev = tuple(row)
-        rows.append(prev)
-    return tuple(rows)
-
-
-def bruhat_leq_rank(u: Perm, v: Perm) -> bool:
-    """Bruhat order via rank matrices: u <= v iff r_u >= r_v entrywise."""
-    if len(u) != len(v):
-        raise ValueError(f"degree mismatch: {len(u)} vs {len(v)}")
-    ru, rv = rank_matrix(u), rank_matrix(v)
-    return all(ru[i][j] >= rv[i][j] for i in range(len(u)) for j in range(len(u)))
-
-
-def bruhat_leq_prefix(u: Perm, v: Perm) -> bool:
-    """Bruhat order via sorted prefixes.
-
-    u <= v iff for every i, sorting {u(1),...,u(i)} and {v(1),...,v(i)}
-    ascending makes the first list entrywise <= the second.  Agrees with
-    :func:`bruhat_leq_rank` on all inputs.
-    """
-    if len(u) != len(v):
-        raise ValueError(f"degree mismatch: {len(u)} vs {len(v)}")
-    for i in range(1, len(u) + 1):
-        for a, b in zip(sorted(u[:i]), sorted(v[:i])):
-            if a > b:
-                return False
-    return True
-
-
 def code(w: Perm) -> tuple[int, ...]:
     """Lehmer code: c_i = #{j > i | w(j) < w(i)}; the entries sum to length(w).
 
@@ -168,33 +111,11 @@ def code_to_perm(c: Sequence[int]) -> Perm:
     return tuple(remaining.pop(ci) for ci in full)
 
 
-def simple(i: int, n: int) -> Perm:
-    """The simple transposition s_i in S_n, swapping i and i+1."""
-    if not 1 <= i <= n - 1:
-        raise IndexError(f"simple reflection index must lie in 1..{n - 1}")
-    w = list(range(1, n + 1))
-    w[i - 1], w[i] = w[i], w[i - 1]
-    return tuple(w)
-
-
-def right_descents(w: Perm) -> list[int]:
-    """Positions i with w(i) > w(i+1)."""
-    return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
-
-
-def word_to_perm(word: Sequence[int], n: int) -> Perm:
-    """Product s_{i_1} o s_{i_2} o ... o s_{i_k} of simple reflections in S_n."""
-    w = identity(n)
-    for i in word:
-        w = compose(w, simple(i, n))
-    return w
-
-
 def reduced_word(w: Perm) -> tuple[int, ...]:
     """A canonical reduced word for w: repeatedly strip the leftmost descent.
 
     The returned word (i_1, ..., i_k) satisfies k == length(w) and
-    ``word_to_perm(word, n) == w``.
+    s_{i_1} o ... o s_{i_k} == w.
 
     >>> reduced_word((3, 2, 1))
     (1, 2, 1)
@@ -208,38 +129,6 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
         cur[i - 1], cur[i] = cur[i], cur[i - 1]
         peeled.append(i)
     return tuple(reversed(peeled))
-
-
-def all_reduced_words(w: Perm, guard: int | None = None) -> frozenset[tuple[int, ...]]:
-    """The complete set of reduced words for w.
-
-    The count explodes with length (w0 of S_5 already has 768 words), so
-    lengths above the word guard are refused.
-    """
-    limit = resolve_guard(guard, WORD_GUARD_ENV, DEFAULT_WORD_GUARD)
-    check_guard(length(w), limit, "all_reduced_words")
-
-    memo: dict[Perm, frozenset[tuple[int, ...]]] = {}
-
-    def words(v: Perm) -> frozenset[tuple[int, ...]]:
-        got = memo.get(v)
-        if got is not None:
-            return got
-        ds = right_descents(v)
-        if not ds:
-            result = frozenset({()})
-        else:
-            acc = set()
-            for i in ds:
-                shorter = list(v)
-                shorter[i - 1], shorter[i] = shorter[i], shorter[i - 1]
-                for word in words(tuple(shorter)):
-                    acc.add(word + (i,))
-            result = frozenset(acc)
-        memo[v] = result
-        return result
-
-    return words(tuple(w))
 
 
 def is_descending_shuffle(w: Perm, p: int) -> bool:

@@ -167,28 +167,6 @@ def pair_of_clan(gamma: Clan) -> tuple[Perm, Perm]:
     return tuple(u), tuple(v)
 
 
-def _product_clan(x: Perm, y: Perm, p: int) -> Clan:
-    """Admissibility checks for S_x . S_y, phrased on the product side."""
-    n = len(x)
-    if len(y) != n:
-        raise ValueError(f"degree mismatch: {len(x)} vs {len(y)}")
-    if not 0 <= p <= n:
-        raise ValueError(f"block size p must lie in 0..{n}, got {p}")
-    u = permutations.compose(permutations.longest(n), x)
-    if not permutations.is_descending_shuffle(u, p):
-        raise ShufflePatternError(
-            f"x = {permutations.format_perm(x)} is not admissible at p = {p}: "
-            f"u = w0 x = {permutations.format_perm(u)} must be a descending shuffle "
-            f"(the values <= {p} and the values > {p} each in descending order)"
-        )
-    if not permutations.is_ascending_shuffle(y, p):
-        raise ShufflePatternError(
-            f"y = {permutations.format_perm(y)} is not an ascending shuffle at p = {p}: "
-            f"the values <= {p} and the values > {p} must each appear in ascending order"
-        )
-    return clan_of_pair(u, y, p)
-
-
 def special_product(x: Perm, y: Perm, p: int, guard: int | None = None) -> dict[Perm, int]:
     """Expand S_x . S_y in the Schubert basis via the clan rule.
 
@@ -197,7 +175,7 @@ def special_product(x: Perm, y: Perm, p: int, guard: int | None = None) -> dict[
     the w-set of its clan, every coefficient is 1, and every key has length
     length(x) + length(y).
     """
-    gamma = _product_clan(x, y, p)
+    gamma = clan_of_pair(permutations.compose(permutations.longest(len(x)), x), y, p)
     expansion = weak_order.brion_class(gamma, guard=guard)
     want = permutations.length(x) + permutations.length(y)
     if any(permutations.length(w) != want for w in expansion):
@@ -216,7 +194,7 @@ def structure_constant(x: Perm, y: Perm, w: Perm, p: int) -> int:
         raise ValueError(
             f"length(w) = {permutations.length(w)} but the product lives in length {want}"
         )
-    gamma = _product_clan(x, y, p)
+    gamma = clan_of_pair(permutations.compose(permutations.longest(n), x), y, p)
     pp, qq = clans.signature(gamma)
     return 1 if weak_order.act(w, gamma) == clans.dense_clan(pp, qq) else 0
 

@@ -138,18 +138,6 @@ def weak_order_graph(p: int, q: int, guard: int | None = None) -> WeakOrderGraph
     return WeakOrderGraph(p, q, nodes, tuple(edges))
 
 
-def sources(graph: WeakOrderGraph) -> list[Clan]:
-    """Nodes with no incoming edge; these are the sign-only clans."""
-    targets = {e.dst for e in graph.edges}
-    return [g for g in graph.nodes if g not in targets]
-
-
-def sinks(graph: WeakOrderGraph) -> list[Clan]:
-    """Nodes with no outgoing edge; the dense clan is the only one."""
-    srcs = {e.src for e in graph.edges}
-    return [g for g in graph.nodes if g not in srcs]
-
-
 def graph_dot(graph: WeakOrderGraph) -> str:
     """DOT text: nodes labeled by clan text, edges by their root index."""
     text = {g: clans.format_clan(g) for g in graph.nodes}

@@ -1,14 +1,16 @@
 """
-Shared brute-force oracles for the test suite.
+Shared brute-force oracles and reference algorithms for the test suite.
 
 Everything here is deliberately independent of the package internals:
 inversions by double loop, Bruhat order by transitive closure of covering
-transpositions, Monk's rule by explicit transposition moves.  Tests compare
-the library against these, never the library against itself.  The
-exceptions are :func:`w_set_scan`, the w-set by its definition, built from
-the package's action and length slices, and :func:`expand_schubert_scan`,
-the greedy Schubert expansion by a full scan for each leader, built from the
-package's Schubert polynomials; those pieces are tested on their own.
+transpositions and by rank matrices, Monk's rule by explicit transposition
+moves, reduced words by recursion on descents.  Tests compare the library
+against these, never the library against itself.  The exceptions are
+:func:`w_set_scan`, the w-set by its definition, built from the package's
+action and length slices, and :func:`expand_schubert_scan` and
+:func:`reconstruct`, the greedy Schubert expansion by a full scan for each
+leader and its inverse, built from the package's Schubert polynomials;
+those pieces are tested on their own.
 """
 
 from __future__ import annotations
@@ -57,6 +59,75 @@ def bruhat_leq_pairs(n) -> set:
                     stack.append(nxt)
         leq.update((w, v) for v in reachable)
     return leq
+
+
+def rank_matrix(w):
+    """Full n x n rank matrix; row i, column j holds #{k <= i | w(k) <= j}."""
+    n = len(w)
+    rows = []
+    prev = (0,) * n
+    for i in range(1, n + 1):
+        row = list(prev)
+        for j in range(w[i - 1], n + 1):
+            row[j - 1] += 1
+        prev = tuple(row)
+        rows.append(prev)
+    return tuple(rows)
+
+
+def bruhat_leq_rank(u, v) -> bool:
+    """Bruhat order via rank matrices: u <= v iff r_u >= r_v entrywise."""
+    if len(u) != len(v):
+        raise ValueError(f"degree mismatch: {len(u)} vs {len(v)}")
+    ru, rv = rank_matrix(u), rank_matrix(v)
+    return all(ru[i][j] >= rv[i][j] for i in range(len(u)) for j in range(len(u)))
+
+
+def simple(i, n):
+    """The simple transposition s_i in S_n, swapping i and i+1."""
+    if not 1 <= i <= n - 1:
+        raise IndexError(f"simple reflection index must lie in 1..{n - 1}")
+    w = list(range(1, n + 1))
+    w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(w)
+
+
+def word_to_perm(word, n):
+    """Product s_{i_1} o s_{i_2} o ... o s_{i_k} of simple reflections in S_n."""
+    w = permutations.identity(n)
+    for i in word:
+        w = permutations.compose(w, simple(i, n))
+    return w
+
+
+def right_descents(w) -> list:
+    """Positions i with w(i) > w(i+1)."""
+    return [i for i in range(1, len(w)) if w[i - 1] > w[i]]
+
+
+def all_reduced_words(w) -> frozenset:
+    """The complete set of reduced words for w (w0 of S_5 has 768)."""
+    memo = {}
+
+    def words(v):
+        got = memo.get(v)
+        if got is not None:
+            return got
+        ds = right_descents(v)
+        if not ds:
+            result = frozenset({()})
+        else:
+            acc = set()
+            for i in ds:
+                shorter = list(v)
+                shorter[i - 1], shorter[i] = shorter[i], shorter[i - 1]
+                for word in words(tuple(shorter)):
+                    acc.add(word + (i,))
+            result = frozenset(acc)
+        memo[v] = result
+        return result
+
+    return words(tuple(w))
 
 
 def monk_rule(x, k) -> dict:
@@ -138,6 +209,32 @@ def expand_schubert_scan(poly) -> dict:
         if exps in work:
             raise AssertionError("leading term failed to cancel")
     return out
+
+
+def leading_exponent(poly):
+    """Greatest exponent vector in right-to-left lexicographic order."""
+    if not poly.coeffs:
+        return None
+    return max(poly.coeffs, key=lambda e: e[::-1])
+
+
+def vars_needed_scan(coeffs) -> int:
+    """Index of the last variable any monomial actually uses."""
+    needed = 0
+    for exps in coeffs:
+        for i in range(len(exps) - 1, needed - 1, -1):
+            if exps[i]:
+                needed = max(needed, i + 1)
+                break
+    return needed
+
+
+def reconstruct(expansion, m):
+    """Sum coeff * S_w back into a polynomial; exact inverse of expansion."""
+    total = oracle.MultiPoly.zero(m)
+    for w, c in expansion.items():
+        total = total + oracle.schubert_poly(w, m) * c
+    return total
 
 
 @pytest.fixture(scope="session")

@@ -200,6 +200,14 @@ def test_verify_max_cases(capsys):
     assert json.loads(out)["output"]["pairs_checked"] == 5
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_verify_max_cases_below_one_exits_2(capsys, value):
+    code, out, err = run_cli(capsys, "verify", "--n", "4", "--max-cases", value)
+    assert code == 2
+    assert out == ""
+    assert "--max-cases" in err
+
+
 def test_verify_n_out_of_range(capsys):
     code, _, err = run_cli(capsys, "verify", "--n", "8")
     assert code == 2

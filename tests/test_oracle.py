@@ -6,7 +6,15 @@ from schubert_clans import oracle as O
 from schubert_clans import permutations as P
 from schubert_clans.oracle import MultiPoly
 
-from conftest import all_perms, expand_schubert_scan, monk_rule
+from conftest import (
+    all_perms,
+    expand_schubert_scan,
+    leading_exponent,
+    monk_rule,
+    reconstruct,
+    simple,
+    vars_needed_scan,
+)
 
 
 def polys(max_arity=5):
@@ -129,6 +137,13 @@ def test_schubert_poly_m_too_small():
         O.schubert_poly((1, 2, 2), 3)
 
 
+def test_variable_bound_is_last_descent():
+    # the bound schubert_poly reads from w against the monomial scan
+    for n in range(1, 8):
+        for w in all_perms(n):
+            assert O._last_descent(w) == vars_needed_scan(O.schubert_poly(w, n).coeffs), w
+
+
 def test_schubert_family_alternate_recursion():
     # recompute every S_w of S_4 descending from the staircase by *last*
     # ascent instead of first; well-definedness demands the same family
@@ -151,7 +166,7 @@ def test_schubert_family_alternate_recursion():
 def test_code_monomial_is_leading(n):
     for w in all_perms(n):
         poly = O.schubert_poly(w, n)
-        lead = O.leading_exponent(poly)
+        lead = leading_exponent(poly)
         assert lead == P.code(w)
         assert poly.coeffs[lead] == 1
         assert all(e[::-1] <= lead[::-1] for e in poly.coeffs)
@@ -175,14 +190,14 @@ def test_expand_signed_input():
     m = 3
     p = MultiPoly(m, {(1, 0, 0): 2, (0, 1, 0): -3})
     expansion = O.expand_schubert(p)
-    assert O.reconstruct(expansion, m) == p
+    assert reconstruct(expansion, m) == p
 
 
 @given(polys(max_arity=3))
 @settings(max_examples=40)
 def test_expand_reconstructs(p):
     expansion = O.expand_schubert(p)
-    assert O.reconstruct(expansion, p.arity) == p
+    assert reconstruct(expansion, p.arity) == p
 
 
 @given(polys(max_arity=4))
@@ -235,14 +250,12 @@ def test_duality_s4():
 def test_monk_against_transposition_rule():
     for x in all_perms(4):
         for k in range(1, 4):
-            got = O.monk_product(x, k)
+            got = O.oracle_product(x, simple(k, 4))
             want = monk_rule(P.pad(x, 5), k)
             assert O.restrict_to_degree(got, 5) == want
             assert all(c == 1 for c in got.values())
-    with pytest.raises(IndexError):
-        O.monk_product((2, 1, 3), 3)
 
 
 def test_monk_examples():
-    assert O.monk_product(P.identity(3), 1) == {(2, 1): 1}
-    assert O.monk_product((2, 1, 3), 1) == {(3, 1, 2): 1}
+    assert O.oracle_product(P.identity(3), simple(1, 3)) == {(2, 1): 1}
+    assert O.oracle_product((2, 1, 3), simple(1, 3)) == {(3, 1, 2): 1}

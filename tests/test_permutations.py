@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from schubert_clans import permutations as P
 
-from conftest import all_perms, bruhat_leq_pairs, inversions
+from conftest import (
+    all_perms,
+    all_reduced_words,
+    bruhat_leq_pairs,
+    bruhat_leq_rank,
+    inversions,
+    rank_matrix,
+    word_to_perm,
+)
 
 perms_strategy = st.integers(1, 7).flatmap(
     lambda n: st.permutations(range(1, n + 1))
@@ -57,67 +65,38 @@ def test_length_is_inversion_count(w):
     assert P.length(w) == inversions(w)
 
 
-def test_rank():
-    assert P.rank((2, 1, 4, 3), 2, 2) == 2
-    w = (3, 1, 4, 2)
-    assert P.rank(w, 4, 4) == 4
-    for i in range(1, 5):
-        for j in range(1, 5):
-            assert P.rank(P.identity(4), i, j) == min(i, j)
-            assert P.rank(w, i, j) == sum(1 for k in range(i) if w[k] <= j)
-    with pytest.raises(IndexError):
-        P.rank(w, 0, 1)
-    with pytest.raises(IndexError):
-        P.rank(w, 1, 5)
-
-
 def test_rank_matrix_monotone():
     w = (3, 5, 2, 4, 1)
-    m = P.rank_matrix(w)
+    m = rank_matrix(w)
+    assert rank_matrix(P.identity(4)) == tuple(
+        tuple(min(i, j) for j in range(1, 5)) for i in range(1, 5)
+    )
     for i in range(5):
         for j in range(5):
-            assert m[i][j] == P.rank(w, i + 1, j + 1)
+            assert m[i][j] == sum(1 for k in range(i + 1) if w[k] <= j + 1)
             if i:
                 assert m[i][j] >= m[i - 1][j]
             if j:
                 assert m[i][j] >= m[i][j - 1]
 
 
-# Bruhat order: two library definitions against an independent closure oracle
+# Bruhat order: the rank-matrix reference against an independent closure
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bruhat_definitions_against_closure(n):
     leq = bruhat_leq_pairs(n)
     for u in all_perms(n):
         for v in all_perms(n):
-            want = (u, v) in leq
-            assert P.bruhat_leq_rank(u, v) == want
-            assert P.bruhat_leq_prefix(u, v) == want
-
-
-def test_bruhat_definitions_agree_on_s5():
-    # the closure oracle is slow at n = 5; the two library definitions must
-    # still agree pairwise on all of S_5
-    perms = all_perms(5)
-    matrices = {w: P.rank_matrix(w) for w in perms}
-    for u in perms:
-        ru = matrices[u]
-        for v in perms:
-            rv = matrices[v]
-            by_rank = all(
-                ru[i][j] >= rv[i][j] for i in range(5) for j in range(5)
-            )
-            assert by_rank == P.bruhat_leq_prefix(u, v)
+            assert bruhat_leq_rank(u, v) == ((u, v) in leq)
 
 
 def test_bruhat_examples():
-    assert P.bruhat_leq_rank((1, 4, 2, 5, 3), (3, 5, 2, 4, 1))
-    assert P.bruhat_leq_prefix((1, 4, 2, 5, 3), (3, 5, 2, 4, 1))
+    assert bruhat_leq_rank((1, 4, 2, 5, 3), (3, 5, 2, 4, 1))
     for w in all_perms(4):
-        assert P.bruhat_leq_rank(P.identity(4), w)
-    assert not P.bruhat_leq_rank((2, 1, 3, 4, 5), (1, 2, 3, 4, 5))
+        assert bruhat_leq_rank(P.identity(4), w)
+    assert not bruhat_leq_rank((2, 1, 3, 4, 5), (1, 2, 3, 4, 5))
     with pytest.raises(ValueError):
-        P.bruhat_leq_rank((1, 2), (1, 2, 3))
+        bruhat_leq_rank((1, 2), (1, 2, 3))
 
 
 # Lehmer codes
@@ -160,35 +139,27 @@ def test_reduced_word_canonical():
     assert P.reduced_word((1, 3, 2, 4)) == (2,)
     word = P.reduced_word((3, 2, 1))
     assert word == (1, 2, 1)
-    assert P.word_to_perm(word, 3) == (3, 2, 1)
+    assert word_to_perm(word, 3) == (3, 2, 1)
 
 
 @given(perms_strategy)
 def test_reduced_word_composes(w):
     word = P.reduced_word(w)
     assert len(word) == P.length(w)
-    assert P.word_to_perm(word, len(w)) == w
+    assert word_to_perm(word, len(w)) == w
 
 
 def test_all_reduced_words():
-    assert P.all_reduced_words((3, 2, 1)) == frozenset({(1, 2, 1), (2, 1, 2)})
-    assert P.all_reduced_words((2, 1, 3)) == frozenset({(1,)})
-    assert P.all_reduced_words(P.identity(3)) == frozenset({()})
+    assert all_reduced_words((3, 2, 1)) == frozenset({(1, 2, 1), (2, 1, 2)})
+    assert all_reduced_words((2, 1, 3)) == frozenset({(1,)})
+    assert all_reduced_words(P.identity(3)) == frozenset({()})
+    assert len(all_reduced_words(P.longest(5))) == 768
     for w in all_perms(4):
-        words = P.all_reduced_words(w)
+        words = all_reduced_words(w)
         assert P.reduced_word(w) in words
         for word in words:
             assert len(word) == P.length(w)
-            assert P.word_to_perm(word, 4) == w
-
-
-def test_all_reduced_words_guard():
-    from schubert_clans.guards import GuardError
-
-    with pytest.raises(GuardError):
-        P.all_reduced_words(P.longest(6))  # length 15 > default guard 12
-    # explicit override allows it
-    assert len(P.all_reduced_words(P.longest(5), guard=10)) == 768
+            assert word_to_perm(word, 4) == w
 
 
 def test_longest_complement_identity():

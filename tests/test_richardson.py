@@ -9,7 +9,7 @@ from schubert_clans import oracle as O
 from schubert_clans import permutations as P
 from schubert_clans import richardson as R
 
-from conftest import inversions
+from conftest import bruhat_leq_rank, inversions, word_to_perm
 
 
 def shuffle_pairs(n, p):
@@ -43,7 +43,7 @@ def test_shuffles_comparable_preconditions():
 def test_comparability_agrees_with_bruhat(n):
     for p in range(n + 1):
         for u, v in shuffle_pairs(n, p):
-            assert R.shuffles_comparable(u, v, p) == P.bruhat_leq_rank(v, u)
+            assert R.shuffles_comparable(u, v, p) == bruhat_leq_rank(v, u)
 
 
 # the clan of a pair and its inverse
@@ -124,7 +124,7 @@ def test_special_product_golden(golden_table):
     y = P.parse_perm(golden_table["y"])
     expansion = R.special_product(x, y, golden_table["p"])
     want = {
-        P.word_to_perm(row["word"], 5)
+        word_to_perm(row["word"], 5)
         for row in golden_table["rows"]
         if row["constant"] == 1
     }
@@ -166,7 +166,7 @@ def test_structure_constant_golden(golden_table):
     y = P.parse_perm(golden_table["y"])
     p = golden_table["p"]
     for row in golden_table["rows"]:
-        w = P.word_to_perm(row["word"], 5)
+        w = word_to_perm(row["word"], 5)
         assert R.structure_constant(x, y, w, p) == row["constant"]
 
 

@@ -2,12 +2,33 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import schubert_clans
 
 PACKAGE_DIR = Path(schubert_clans.__file__).parent
-TRACER_LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+REPO = Path(__file__).resolve().parent.parent
+TRACER_LAYERS = REPO / "perfbench" / "layers.py"
+
+# Public top-level names that no other code in the package refers to, each
+# kept for the reason given.  Reference algorithms that only tests need
+# belong in tests/conftest.py instead.
+UNREFERENCED_PUBLIC = {
+    "clans.gamma_plus": "paper invariant: pluses and completed pairs in a prefix",
+    "clans.gamma_minus": "paper invariant: minuses and completed pairs in a prefix",
+    "clans.gamma_cross": "paper invariant: pairs straddling a window",
+    "clans.orbit_dimension": "paper invariant: dimension of the clan's orbit",
+    "clans.is_sign_only": "paper object: the clans of the closed orbits",
+    "permutations.code": "the Lehmer code that names the oracle's leading terms",
+    "permutations.inverse": "basic operation of the permutation API",
+    "oracle.divided_difference": "the operator that defines Schubert polynomials",
+    "richardson.shuffles_comparable": "the paper's comparability test for shuffle pairs",
+    "richardson.structure_constant": "the paper's c_{u,v}^w for one w",
+    "weak_order.classify_root": "the benchmark traces it by name",
+    "permutations.enumerate_by_length": "the benchmark traces it by name",
+    "clans.count_clans": "the benchmark's graph check counts nodes with it",
+}
 
 
 def test_no_assert_statements():
@@ -41,3 +62,54 @@ def test_traced_names_exist():
     ]
     assert missing == []
     assert hasattr(schubert_clans.oracle, "_SCHUBERT_CACHE")
+
+
+def _references(module, tree, modules):
+    """(module, name) pairs that the code of one module refers to, leaving
+    out each top-level function's or class's references to itself."""
+    imported = {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+    refs = set()
+    for stmt in tree.body:
+        owner = (module, getattr(stmt, "name", None))
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                target = imported.get(node.id, (module, node.id))
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                target = (node.value.id, node.attr)
+            else:
+                continue
+            if target != owner:
+                refs.add(target)
+    return refs
+
+
+def test_public_names_are_used_in_the_package():
+    modules = {
+        path.stem: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    refs = set().union(*(_references(m, tree, modules) for m, tree in modules.items()))
+    unreferenced = {
+        f"{module}.{node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and (module, node.name) not in refs
+    }
+    assert sorted(unreferenced - set(UNREFERENCED_PUBLIC)) == []
+    # an entry the package has started to use is stale
+    assert sorted(set(UNREFERENCED_PUBLIC) - unreferenced) == []
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", (REPO / "README.md").read_text(), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

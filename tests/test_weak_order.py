@@ -7,7 +7,7 @@ from schubert_clans import permutations as P
 from schubert_clans import weak_order as W
 from schubert_clans.guards import PERM_GUARD_ENV, GuardError
 
-from conftest import act_simple_rules, all_perms, w_set_scan
+from conftest import act_simple_rules, all_perms, all_reduced_words, w_set_scan, word_to_perm
 
 
 def clans_upto(total):
@@ -127,7 +127,7 @@ def test_act_well_defined_on_all_reduced_words():
         for gamma in C.enumerate_clans(p, 4 - p):
             for w in all_perms(4):
                 results = {
-                    W.act_word(word, gamma) for word in P.all_reduced_words(w)
+                    W.act_word(word, gamma) for word in all_reduced_words(w)
                 }
                 assert len(results) == 1
                 assert results.pop() == W.act(w, gamma)
@@ -174,10 +174,12 @@ def test_graph_structure(p, q):
             moved = W.act_simple(i, gamma)
             assert ((gamma, i) in seen) == (moved != gamma)
     # sources are the sign-only clans, the unique sink is the dense clan
-    srcs = W.sources(g)
+    targets = {e.dst for e in g.edges}
+    starts = {e.src for e in g.edges}
+    srcs = [gamma for gamma in g.nodes if gamma not in targets]
     assert all(C.is_sign_only(gamma) for gamma in srcs)
     assert len(srcs) == comb(n, p)
-    assert W.sinks(g) == [C.dense_clan(p, q)]
+    assert [gamma for gamma in g.nodes if gamma not in starts] == [C.dense_clan(p, q)]
 
 
 def test_graph_acyclic_paths_end_dense():
@@ -215,7 +217,7 @@ def test_graph_exports():
 def test_w_set_golden(golden_table):
     start = C.parse_clan(golden_table["start_clan"])
     want = {
-        P.word_to_perm(row["word"], 5)
+        word_to_perm(row["word"], 5)
         for row in golden_table["rows"]
         if row["constant"] == 1
     }
