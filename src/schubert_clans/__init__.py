@@ -66,7 +66,9 @@ from .weak_order import (
     act_word,
     brion_class,
     classify_root,
+    clear_w_set_table,
     w_set,
+    w_set_table_size,
     weak_order_graph,
 )
 

@@ -148,8 +148,8 @@ def cmd_clans(args) -> tuple[str, int]:
 
 def cmd_verify(args) -> tuple[str, int]:
     n = args.n
-    if not 1 <= n <= 7:
-        raise ValueError("verify sweeps are supported for 1 <= n <= 7")
+    if not 1 <= n <= 8:
+        raise ValueError("verify sweeps are supported for 1 <= n <= 8")
     if args.max_cases is not None and args.max_cases < 1:
         raise ValueError(f"--max-cases must be at least 1, got {args.max_cases}")
     checked = 0

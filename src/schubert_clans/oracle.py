@@ -188,6 +188,10 @@ def _divdiff_dict(coeffs: Mapping[ExpVec, int], k: int) -> dict[ExpVec, int]:
 # last variable never survives into a cached polynomial, but the divided
 # differences pass through monomials that use it, so the slot must exist.
 _SCHUBERT_CACHE: dict[Perm, dict[ExpVec, int]] = {}
+# Most entries the cache keeps between oracle_product calls: a call that
+# leaves more clears it.  An n = 8 sweep leaves 8870 entries of about 10 kB
+# each, so the cap sits well above any sweep and near 200 MB at that size.
+SCHUBERT_CACHE_MAX_ENTRIES = 20_000
 
 
 def _schubert_min(w: Perm) -> dict[ExpVec, int]:
@@ -288,6 +292,8 @@ def oracle_product(x: Perm, y: Perm) -> dict[Perm, int]:
     m = 2n - 1 variables, which holds the entire support of the product.
     Keys are trimmed permutations and may leave S_n; use
     :func:`restrict_to_degree` for the comparison against the clan rule.
+    The Schubert polynomials built on the way stay cached for later calls,
+    up to SCHUBERT_CACHE_MAX_ENTRIES of them between calls.
 
     >>> oracle_product((2, 1, 3), (2, 1, 3))
     {(3, 1, 2): 1}
@@ -297,7 +303,10 @@ def oracle_product(x: Perm, y: Perm) -> dict[Perm, int]:
     ys = permutations.pad(y, n)
     m = 2 * n - 1
     product = multiply(schubert_poly(xs, m), schubert_poly(ys, m))
-    return expand_schubert(product)
+    expansion = expand_schubert(product)
+    if len(_SCHUBERT_CACHE) > SCHUBERT_CACHE_MAX_ENTRIES:
+        _SCHUBERT_CACHE.clear()
+    return expansion
 
 
 def restrict_to_degree(expansion: Mapping[Perm, int], n: int) -> dict[Perm, int]:

@@ -40,20 +40,30 @@ class IncomparableError(ValueError):
     underlying product."""
 
 
-def _require_shuffles(u: Perm, v: Perm, p: int) -> None:
+def _require_shuffles(u: Perm, v: Perm, p: int, x: Perm | None = None) -> None:
+    """Check the degrees, the block size and both shuffle patterns.  On the
+    product side x is the factor with u = w0 x and v is y; the errors then
+    name x and y, the permutations the caller gave."""
     if len(u) != len(v):
         raise ValueError(f"degree mismatch: {len(u)} vs {len(v)}")
     if not 0 <= p <= len(u):
         raise ValueError(f"block size p must lie in 0..{len(u)}, got {p}")
     if not permutations.is_descending_shuffle(u, p):
+        if x is None:
+            what = f"u = {permutations.format_perm(u)} is not a descending shuffle at p = {p}"
+        else:
+            what = (
+                f"x = {permutations.format_perm(x)} is not admissible at p = {p}: "
+                f"u = w0 x = {permutations.format_perm(u)} is not a descending shuffle"
+            )
         raise ShufflePatternError(
-            f"u = {permutations.format_perm(u)} is not a descending shuffle at p = {p}: "
-            f"the values <= {p} and the values > {p} must each appear in descending order"
+            f"{what}: the values <= {p} and the values > {p} must each appear in descending order"
         )
     if not permutations.is_ascending_shuffle(v, p):
         raise ShufflePatternError(
-            f"v = {permutations.format_perm(v)} is not an ascending shuffle at p = {p}: "
-            f"the values <= {p} and the values > {p} must each appear in ascending order"
+            f"{'v' if x is None else 'y'} = {permutations.format_perm(v)} is not an ascending "
+            f"shuffle at p = {p}: the values <= {p} and the values > {p} must each appear "
+            f"in ascending order"
         )
 
 
@@ -167,6 +177,17 @@ def pair_of_clan(gamma: Clan) -> tuple[Perm, Perm]:
     return tuple(u), tuple(v)
 
 
+def _product_clan(x: Perm, y: Perm, p: int) -> Clan:
+    """The clan of the pair (w0 x, y) behind S_x . S_y.  A failed shuffle
+    pattern is reported again by the names the caller gave, x and y."""
+    u = permutations.compose(permutations.longest(len(x)), x)
+    try:
+        return clan_of_pair(u, y, p)
+    except ShufflePatternError:
+        _require_shuffles(u, y, p, x=x)
+        raise
+
+
 def special_product(x: Perm, y: Perm, p: int, guard: int | None = None) -> dict[Perm, int]:
     """Expand S_x . S_y in the Schubert basis via the clan rule.
 
@@ -175,7 +196,7 @@ def special_product(x: Perm, y: Perm, p: int, guard: int | None = None) -> dict[
     the w-set of its clan, every coefficient is 1, and every key has length
     length(x) + length(y).
     """
-    gamma = clan_of_pair(permutations.compose(permutations.longest(len(x)), x), y, p)
+    gamma = _product_clan(x, y, p)
     expansion = weak_order.brion_class(gamma, guard=guard)
     want = permutations.length(x) + permutations.length(y)
     if any(permutations.length(w) != want for w in expansion):
@@ -194,7 +215,7 @@ def structure_constant(x: Perm, y: Perm, w: Perm, p: int) -> int:
         raise ValueError(
             f"length(w) = {permutations.length(w)} but the product lives in length {want}"
         )
-    gamma = clan_of_pair(permutations.compose(permutations.longest(n), x), y, p)
+    gamma = _product_clan(x, y, p)
     pp, qq = clans.signature(gamma)
     return 1 if weak_order.act(w, gamma) == clans.dense_clan(pp, qq) else 0
 

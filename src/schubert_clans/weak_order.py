@@ -168,20 +168,76 @@ def graph_json_dict(graph: WeakOrderGraph) -> dict:
     }
 
 
+# Brion's w-sets shared by every w_set call in the process, each stored as
+# a sorted tuple.  A clan fixes (p, q), and an entry is written only once
+# the full w-set of its clan is known, so any later call may reuse it.
+_W_SET_TABLE: dict[Clan, tuple[Perm, ...]] = {}
+_table_perms = 0  # permutations stored in _W_SET_TABLE
+
+# Most permutations the shared table keeps between calls: a call that leaves
+# more clears it.  A single call still stores everything its descent needs.
+W_SET_TABLE_MAX_PERMS = 250_000
+
+
+def clear_w_set_table() -> None:
+    """Empty the w-set table that :func:`w_set` shares across calls."""
+    global _table_perms
+    _W_SET_TABLE.clear()
+    _table_perms = 0
+
+
+def w_set_table_size() -> int:
+    """The number of permutations the shared w-set table stores."""
+    return _table_perms
+
+
+def _store(clan: Clan, entry: tuple[Perm, ...]) -> tuple[Perm, ...]:
+    global _table_perms
+    _W_SET_TABLE[clan] = entry
+    _table_perms += len(entry)
+    return entry
+
+
+def _descend(clan: Clan, dense: Clan, n: int) -> tuple[Perm, ...]:
+    """W(clan) from the table, computing and storing it, and the w-sets of
+    the clans above it, when missing."""
+    got = _W_SET_TABLE.get(clan)
+    if got is not None:
+        return got
+    if clan == dense:
+        return _store(clan, (permutations.identity(n),))
+    acc: set[Perm] = set()
+    for i in range(1, n):
+        up = act_simple(i, clan)
+        if up == clan:
+            continue
+        for w in _descend(up, dense, n):
+            if w[i - 1] < w[i]:
+                acc.add(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :])
+    return _store(clan, tuple(sorted(acc)))
+
+
 def w_set(gamma: Clan, guard: int | None = None) -> list[Perm]:
     """All w of length codim(gamma) whose action takes gamma to the dense
     clan, in lexicographic one-line order.
 
     These index the Schubert classes appearing in the orbit closure's
     fundamental class.  Brion's paths give them by a descent through the
-    clans above gamma, memoised per clan within one call:
+    clans above gamma:
 
         W(dense) = {e}
         W(gamma) = { w'.s_i : s_i moves gamma to gamma', w' in W(gamma'),
                      w'(i) < w'(i+1) }
 
     The last condition makes w'.s_i one longer than w'.  The work grows
-    with the clans visited, not with S_n; the perm guard still caps n.
+    with the clans visited, not with S_n; the perm guard still caps n, and
+    is checked before any stored w-set is read.
+
+    Every W(clan) the descent finishes goes into one table shared by all
+    calls, so a sweep or a long-lived caller computes each clan once.  The
+    table holds at most W_SET_TABLE_MAX_PERMS permutations between calls:
+    a call that leaves more clears it.  :func:`w_set_table_size` reports
+    the permutations stored and :func:`clear_w_set_table` frees them.
 
     >>> w_set((1, 2, 1, 2))
     [(1, 2, 4, 3), (2, 1, 3, 4)]
@@ -190,23 +246,10 @@ def w_set(gamma: Clan, guard: int | None = None) -> list[Perm]:
     n = p + q
     limit = resolve_guard(guard, PERM_GUARD_ENV, DEFAULT_PERM_GUARD)
     check_guard(n, limit, f"w_set over S_{n}")
-    memo: dict[Clan, set[Perm]] = {clans.dense_clan(p, q): {permutations.identity(n)}}
-
-    def descend(clan: Clan) -> set[Perm]:
-        got = memo.get(clan)
-        if got is None:
-            got = set()
-            for i in range(1, n):
-                up = act_simple(i, clan)
-                if up == clan:
-                    continue
-                for w in descend(up):
-                    if w[i - 1] < w[i]:
-                        got.add(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :])
-            memo[clan] = got
-        return got
-
-    return sorted(descend(gamma))
+    got = _descend(gamma, clans.dense_clan(p, q), n)
+    if w_set_table_size() > W_SET_TABLE_MAX_PERMS:
+        clear_w_set_table()
+    return list(got)
 
 
 def brion_class(gamma: Clan, guard: int | None = None) -> dict[Perm, int]:

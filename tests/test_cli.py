@@ -99,6 +99,33 @@ def test_product_bad_p_exits_2(capsys):
     assert "descending shuffle" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ("product", "--x", "31425", "--y", "14253", "--p", "2"),
+            "x = 31425 is not admissible at p = 2: u = w0 x = 35241 is not a descending "
+            "shuffle: the values <= 2 and the values > 2 must each appear in descending order",
+        ),
+        (
+            ("product", "--x", "31425", "--y", "21345", "--p", "3"),
+            "y = 21345 is not an ascending shuffle at p = 3: the values <= 3 and the "
+            "values > 3 must each appear in ascending order",
+        ),
+        (
+            ("clan-of", "--u", "35241", "--v", "14253", "--p", "2"),
+            "u = 35241 is not a descending shuffle at p = 2: the values <= 2 and the "
+            "values > 2 must each appear in descending order",
+        ),
+    ],
+)
+def test_shuffle_errors_name_the_typed_permutation(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_product_parse_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "product", "--x", "31", "--y", "12", "--p", "1")
     assert code == 2
@@ -209,9 +236,9 @@ def test_verify_max_cases_below_one_exits_2(capsys, value):
 
 
 def test_verify_n_out_of_range(capsys):
-    code, _, err = run_cli(capsys, "verify", "--n", "8")
+    code, _, err = run_cli(capsys, "verify", "--n", "9")
     assert code == 2
-    assert "1 <= n <= 7" in err
+    assert "1 <= n <= 8" in err
 
 
 def test_table1(capsys):

@@ -231,6 +231,20 @@ def test_oracle_product_mixed_degrees():
     assert O.oracle_product((2, 1), (2, 1, 3)) == {(3, 1, 2): 1}
 
 
+def test_schubert_cache_cap(monkeypatch):
+    pairs = [(x, y) for x in all_perms(4) for y in all_perms(4)][::37]
+    want = [O.oracle_product(x, y) for x, y in pairs]
+    monkeypatch.setattr(O, "SCHUBERT_CACHE_MAX_ENTRIES", 25)
+    O._SCHUBERT_CACHE.clear()
+    sizes = []
+    for (x, y), expected in zip(pairs, want):
+        assert O.oracle_product(x, y) == expected
+        sizes.append(len(O._SCHUBERT_CACHE))
+    assert max(sizes) <= 25
+    # a call caches at least S_x, so only a clear leaves 0
+    assert 0 < sizes.count(0) < len(sizes)
+
+
 def test_oracle_product_positivity_s3():
     for x in all_perms(3):
         for y in all_perms(3):

@@ -203,6 +203,15 @@ def test_oracle_equivalence_random_pairs(n, data):
     assert fast == slow
 
 
+def test_alternating_product_n9_matches_oracle():
+    # the 384-term product of the alternating (5,4)-clan
+    u, v = R.pair_of_clan(tuple("+-"[k % 2] for k in range(9)))
+    x = P.compose(P.longest(9), u)
+    fast = R.special_product(x, v, 5)
+    assert len(fast) == 384
+    assert fast == O.restrict_to_degree(O.oracle_product(x, v), 9)
+
+
 # enumeration helpers and the wire format
 
 def test_shuffle_listings():

@@ -1,3 +1,6 @@
+import random
+import sys
+import threading
 from math import prod
 
 import pytest
@@ -245,6 +248,93 @@ def test_w_set_lengths():
 def test_w_set_matches_length_slice_scan():
     for gamma in clans_upto(6):
         assert W.w_set(gamma) == w_set_scan(gamma), gamma
+
+
+def test_w_set_shared_table_matches_scan_in_mixed_order():
+    # a seeded shuffle mixes shapes, so each call finds the table filled by
+    # earlier calls on other clans, some above it and some not
+    order = list(clans_upto(6))
+    random.Random(2012).shuffle(order)
+    want = [w_set_scan(gamma) for gamma in order]
+    W.clear_w_set_table()
+    for _ in range(2):
+        for gamma, expected in zip(order, want):
+            assert W.w_set(gamma) == expected, gamma
+
+
+def test_w_set_returns_a_fresh_list():
+    gamma = C.parse_clan("(+,-,+,-,+)")
+    first = W.w_set(gamma)
+    want = list(first)
+    first.reverse()
+    first.append(P.identity(5))
+    assert W.w_set(gamma) == want
+
+
+def test_w_set_table_clear_and_size():
+    W.clear_w_set_table()
+    assert W.w_set_table_size() == 0
+    gamma = tuple("+-"[k % 2] for k in range(8))
+    W.w_set(gamma)
+    # every clan the descent visits, the dense one included, stores its
+    # w-set once
+    assert W.w_set_table_size() == 6700
+    W.w_set(gamma)
+    assert W.w_set_table_size() == 6700
+    # the guard is checked before the table is read
+    with pytest.raises(GuardError):
+        W.w_set(gamma, guard=7)
+    W.clear_w_set_table()
+    assert W.w_set_table_size() == 0
+    assert len(W.w_set(gamma)) == 105
+
+
+def test_w_set_table_bound(monkeypatch):
+    order = list(clans_upto(5))
+    random.Random(9).shuffle(order)
+    want = [w_set_scan(gamma) for gamma in order]
+    monkeypatch.setattr(W, "W_SET_TABLE_MAX_PERMS", 40)
+    W.clear_w_set_table()
+    sizes = []
+    for gamma, expected in zip(order, want):
+        assert W.w_set(gamma) == expected, gamma
+        sizes.append(W.w_set_table_size())
+    assert max(sizes) <= 40
+    # a call stores at least its own clan, so only a clear leaves 0
+    assert 0 < sizes.count(0) < len(sizes)
+
+
+def test_w_set_table_shared_by_threads(monkeypatch):
+    # with a tiny bound, clears from one thread land in the middle of other
+    # threads' descents; every result must stay exact
+    order = list(clans_upto(5))
+    want = {gamma: w_set_scan(gamma) for gamma in order}
+    monkeypatch.setattr(W, "W_SET_TABLE_MAX_PERMS", 30)
+    problems = []
+
+    def worker(seed):
+        mine = list(order)
+        random.Random(seed).shuffle(mine)
+        try:
+            for _ in range(3):
+                for gamma in mine:
+                    if W.w_set(gamma) != want[gamma]:
+                        problems.append(gamma)
+        except Exception as exc:  # a thread's exception would otherwise be lost
+            problems.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert problems == []
 
 
 @pytest.mark.parametrize("n", range(1, 13))
