@@ -26,11 +26,13 @@ from .clans import (
 from .guards import GuardError
 from .oracle import (
     MultiPoly,
+    clear_schubert_cache,
     divided_difference,
     expand_schubert,
     multiply,
     oracle_product,
     restrict_to_degree,
+    schubert_cache_size,
     schubert_poly,
 )
 from .permutations import (

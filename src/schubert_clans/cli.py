@@ -53,7 +53,7 @@ def cmd_product(args) -> tuple[str, int]:
     status = 0
     if args.verify:
         n = len(x)
-        reference = oracle.restrict_to_degree(oracle.oracle_product(x, y), n)
+        reference = oracle.oracle_product(x, y, n)
         if reference == expansion:
             doc["verdict"] = "match"
         else:
@@ -72,9 +72,7 @@ def cmd_oracle_product(args) -> tuple[str, int]:
     x = permutations.parse_perm(args.x)
     y = permutations.parse_perm(args.y)
     n = max(len(x), len(y))
-    expansion = oracle.oracle_product(x, y)
-    if not args.all_terms:
-        expansion = oracle.restrict_to_degree(expansion, n)
+    expansion = oracle.oracle_product(x, y, None if args.all_terms else n)
     doc = {
         "command": "oracle-product",
         "inputs": {"all_terms": bool(args.all_terms), "x": args.x, "y": args.y},
@@ -164,7 +162,7 @@ def cmd_verify(args) -> tuple[str, int]:
                 break
             x = permutations.compose(permutations.longest(n), u)
             fast = richardson.special_product(x, v, p, guard=args.perm_guard)
-            slow = oracle.restrict_to_degree(oracle.oracle_product(x, v), n)
+            slow = oracle.oracle_product(x, v, n)
             if fast != slow:
                 mismatches.append(
                     {

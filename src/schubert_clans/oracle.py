@@ -15,7 +15,27 @@ it.  Subtracting coeff * S_w therefore strictly shrinks the leading term,
 the exponent-to-code bijection names the next basis element for free, and
 no subtraction adds a monomial above the current leader.  The last point
 lets the leaders come off a heap filled as monomials appear, instead of a
-scan of the whole working polynomial for each output term.
+scan of the whole working polynomial for each output term.  Inside the
+greedy and the product, an exponent vector is an int with one byte per
+variable, x_1 lowest: int order is then the right-to-left order, and
+multiplying by a monomial is an integer addition.
+
+A product of x, y in S_n needs n variables.  S_x and S_y lie in
+Z[x_1..x_{n-1}], and the S_w with last descent at most n - 1 form a Z-basis
+of that ring (Macdonald, Notes on Schubert Polynomials, 1991), so every
+S_w in the product fits in n variables too.  The paper's constants are
+the terms with w in S_n, and those alone are computed modulo the ideal
+I_n = (e_1, ..., e_n) of Z[x_1..x_n]: the S_w with w outside S_n and last
+descent at most n span I_n, and the S_w with w in S_n are a basis modulo
+I_n, so the S_n coefficients do not depend on which element of I_n the
+greedy subtracts.  A leader x^a in the staircase box (a_i <= n - i for
+all i) is x^code(w) for some w in S_n and is cancelled by S_w as above.
+Any other leader has a smallest k with a_k >= N = n - k + 1 and is
+cancelled by x^(a - N e_k) h_N(x_1..x_k): the complete homogeneous
+polynomial h_N(x_1..x_k) is S_w for a w outside S_n with last descent k,
+so it lies in I_n, and the product's leader is x^a with coefficient 1.
+Z[x_1..x_n] / I_n is 0 above degree n(n-1)/2, so a longer product has no
+S_n part at all.
 
 Everything is exact: coefficients are Python ints and the divided
 difference is computed monomial by monomial as a geometric sum, so no
@@ -24,7 +44,9 @@ rational intermediates ever appear.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import itertools
 import operator
 from typing import Mapping
 
@@ -146,8 +168,27 @@ class MultiPoly:
 
 
 def multiply(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact product; arities must agree."""
-    return p * q
+    """Exact product; arities must agree.
+
+    The same as ``p * q``, but faster when every exponent of the product
+    fits a byte: the exponent vectors are then added as packed ints.
+    """
+    p._check_arity(q)
+    if max(map(sum, p.coeffs), default=0) + max(map(sum, q.coeffs), default=0) > 255:
+        return p * q
+    qs = [(_pack(e), c) for e, c in q.coeffs.items()]
+    out: dict[int, int] = {}
+    for e1, c1 in p.coeffs.items():
+        v1 = _pack(e1)
+        for v2, c2 in qs:
+            key = v1 + v2
+            newc = out.get(key, 0) + c1 * c2
+            if newc:
+                out[key] = newc
+            else:
+                del out[key]
+    m = p.arity
+    return MultiPoly._raw(m, {tuple(v.to_bytes(m, "little")): c for v, c in out.items()})
 
 
 def divided_difference(i: int, p: MultiPoly) -> MultiPoly:
@@ -183,33 +224,48 @@ def _divdiff_dict(coeffs: Mapping[ExpVec, int], k: int) -> dict[ExpVec, int]:
     return out
 
 
-# Cache of Schubert polynomials for trimmed permutations, stored at arity
-# equal to the degree; stability lets callers pad or trim from there.  The
-# last variable never survives into a cached polynomial, but the divided
-# differences pass through monomials that use it, so the slot must exist.
-_SCHUBERT_CACHE: dict[Perm, dict[ExpVec, int]] = {}
+# Schubert polynomials by (trimmed w, arity m).  The divided differences run
+# at arity len(w), the smallest that holds them: the last variable never
+# survives into S_w, but the steps pass through monomials that use it.  An
+# entry at any other arity is that polynomial padded or cut to m, stored so
+# that a warm call does no work.
+_SCHUBERT_CACHE: dict[tuple[Perm, int], dict[ExpVec, int]] = {}
 # Most entries the cache keeps between oracle_product calls: a call that
-# leaves more clears it.  An n = 8 sweep leaves 8870 entries of about 10 kB
+# leaves more clears it.  An n = 8 sweep leaves 10,150 entries of about 10 kB
 # each, so the cap sits well above any sweep and near 200 MB at that size.
 SCHUBERT_CACHE_MAX_ENTRIES = 20_000
 
 
-def _schubert_min(w: Perm) -> dict[ExpVec, int]:
-    """Coefficients of S_w at arity len(w), for w with no trailing fixed
-    point.  Recursion: peel the first ascent i via S_w = d_i S_{w s_i},
-    bottoming out at the staircase monomial for w0."""
-    cached = _SCHUBERT_CACHE.get(w)
+def clear_schubert_cache() -> None:
+    """Empty the Schubert polynomial cache that oracle calls share."""
+    _SCHUBERT_CACHE.clear()
+
+
+def schubert_cache_size() -> int:
+    """The number of polynomials in the shared Schubert polynomial cache."""
+    return len(_SCHUBERT_CACHE)
+
+
+def _schubert_coeffs(w: Perm, m: int) -> dict[ExpVec, int]:
+    """Coefficients of S_w at arity m, for trimmed w and m at least w's last
+    descent; the caller must not mutate them.  Recursion: peel the first
+    ascent i via S_w = d_i S_{w s_i}, bottoming out at the staircase monomial
+    for w0."""
+    key = (w, m)
+    cached = _SCHUBERT_CACHE.get(key)
     if cached is not None:
         return cached
     d = len(w)
     ascent = next((i for i in range(d - 1) if w[i] < w[i + 1]), None)
-    if ascent is None:
+    if m != d:
+        result = {e[:m] + (0,) * (m - d): c for e, c in _schubert_coeffs(w, d).items()}
+    elif ascent is None:
         result = {tuple(d - 1 - i for i in range(d)): 1}
     else:
         up = list(w)
         up[ascent], up[ascent + 1] = up[ascent + 1], up[ascent]
-        result = _divdiff_dict(_schubert_min(tuple(up)), ascent)
-    _SCHUBERT_CACHE[w] = result
+        result = _divdiff_dict(_schubert_coeffs(tuple(up), d), ascent)
+    _SCHUBERT_CACHE[key] = result
     return result
 
 
@@ -230,83 +286,129 @@ def schubert_poly(w: Perm, m: int) -> MultiPoly:
     if not permutations.is_perm(w):
         raise ValueError(f"{w} is not a permutation")
     wt = permutations.trim(w)
-    coeffs = _schubert_min(wt)
     needed = _last_descent(wt)
     if m < needed:
         raise ValueError(f"S_{permutations.format_perm(w)} uses {needed} variables, m = {m} is too small")
-    if m == len(wt):
-        return MultiPoly._raw(m, dict(coeffs))
-    return MultiPoly._raw(m, {e[:m] + (0,) * (m - len(e[:m])): c for e, c in coeffs.items()})
+    return MultiPoly._raw(m, dict(_schubert_coeffs(wt, m)))
 
 
-def expand_schubert(p: MultiPoly) -> dict[Perm, int]:
+def _pack(exps: ExpVec) -> int:
+    """An exponent vector as an int, one byte per variable with x_1 lowest.
+    Int order is then right-to-left lexicographic order, and multiplying
+    two monomials adds their ints."""
+    return int.from_bytes(bytes(exps), "little")
+
+
+@functools.lru_cache(maxsize=256)
+def _box_reducer(k: int, n: int) -> tuple[int, ...]:
+    """The monomials of x_k^(-N) h_N(x_1..x_k), N = n - k + 1 (k 1-indexed),
+    packed.  Added to a packed leader x^a with a_k >= N they give the
+    monomials of x^(a - N e_k) h_N(x_1..x_k), an element of I_n whose
+    leader is x^a with coefficient 1."""
+    big = n - k + 1
+    lead = big << (8 * (k - 1))
+    return tuple(
+        sum(1 << (8 * i) for i in picks) - lead
+        for picks in itertools.combinations_with_replacement(range(k), big)
+    )
+
+
+def _first_outside_box(exps: bytes, n: int) -> int | None:
+    """The smallest 0-indexed i with exps[i] >= n - i, or None when exps
+    lies in the staircase box, i.e. is the code of a permutation in S_n."""
+    for i, e in enumerate(exps):
+        if e >= n - i:
+            return i
+    return None
+
+
+def expand_schubert(p: MultiPoly, degree: int | None = None) -> dict[Perm, int]:
     """Write P as a sum of Schubert polynomials and return {w: coeff}.
 
     Greedy: the leading exponent vector is read as a Lehmer code, naming the
     next permutation to subtract.  Keys are trimmed permutations.  Products
     of Schubert polynomials give nonnegative coefficients; arbitrary input
-    is allowed and may produce signed output.
+    is allowed and may produce signed output.  Every monomial the greedy
+    meets has the degree of one of P's, so P's degrees must stay below 256,
+    the most a packed exponent holds.
+
+    With a degree n (at least P's arity), only the terms with w in S_n are
+    computed: the greedy works modulo I_n = (e_1, ..., e_n) as the module
+    docstring describes, and cancels a leader outside the staircase box by
+    an element of I_n instead of by an S_w with w outside S_n.
 
     The leaders come off a heap, which the module docstring's fact makes
     sound: a key is pushed when it enters the working polynomial and
-    skipped when it is popped after it has cancelled.
+    skipped when it is popped after it has cancelled.  The elements of I_n
+    obey the same fact.
     """
-    work = dict(p.coeffs)
-    heap = [(_heap_key(e), e) for e in work]
+    m = p.arity
+    if degree is not None and degree < m:
+        raise ValueError(f"degree {degree} is below the arity {m}")
+    if max(map(sum, p.coeffs), default=0) > 255:
+        raise ValueError("expand_schubert takes polynomials of degree at most 255")
+    work = {_pack(e): c for e, c in p.coeffs.items()}
+    heap = [-v for v in work]
     heapq.heapify(heap)
     out: dict[Perm, int] = {}
     while heap:
-        exps = heapq.heappop(heap)[1]
-        c = work.get(exps)
+        v = -heapq.heappop(heap)
+        c = work.get(v)
         if c is None:
             continue
-        lead = list(exps)
-        while lead and lead[-1] == 0:
-            lead.pop()
-        w = permutations.code_to_perm(tuple(lead))
-        out[w] = out.get(w, 0) + c
-        for se, sc in schubert_poly(w, p.arity).coeffs.items():
-            drop = c * sc
+        exps = v.to_bytes(m, "little")
+        k = None if degree is None else _first_outside_box(exps, degree)
+        if k is None:
+            w = permutations.code_to_perm(tuple(exps.rstrip(b"\0")))
+            out[w] = out.get(w, 0) + c
+            terms = [(_pack(e), c * sc) for e, sc in _schubert_coeffs(w, m).items()]
+        else:
+            terms = [(v + shift, c) for shift in _box_reducer(k + 1, degree)]
+        for se, drop in terms:
             old = work.get(se)
             if old is None:
                 work[se] = -drop
-                heapq.heappush(heap, (_heap_key(se), se))
+                heapq.heappush(heap, -se)
             elif old == drop:
                 del work[se]
             else:
                 work[se] = old - drop
-        if exps in work:
+        if v in work:
             raise AssertionError("leading term failed to cancel")
     return out
 
 
-def _heap_key(exps: ExpVec) -> ExpVec:
-    """Sort key under which heapq's minimum is the right-to-left leader."""
-    return tuple(map(operator.neg, reversed(exps)))
-
-
-def oracle_product(x: Perm, y: Perm) -> dict[Perm, int]:
+def oracle_product(x: Perm, y: Perm, degree: int | None = None) -> dict[Perm, int]:
     """Expansion of S_x . S_y by multiplying actual polynomials.
 
-    Both inputs are embedded in a common S_n; the computation runs in
-    m = 2n - 1 variables, which holds the entire support of the product.
-    Keys are trimmed permutations and may leave S_n; use
-    :func:`restrict_to_degree` for the comparison against the clan rule.
-    The Schubert polynomials built on the way stay cached for later calls,
-    up to SCHUBERT_CACHE_MAX_ENTRIES of them between calls.
+    Both inputs are embedded in a common S_n and the computation runs in n
+    variables, which hold every term (see the module docstring).  Keys are
+    trimmed permutations and may leave S_n.  With a degree, at least n, only
+    the terms in S_degree are computed, keyed as :func:`restrict_to_degree`
+    keys them; that is the comparison against the clan rule, and it returns
+    {} without multiplying when l(x) + l(y) exceeds the length of w0 in
+    S_degree.  The Schubert polynomials built on the way stay cached for
+    later calls, up to SCHUBERT_CACHE_MAX_ENTRIES of them between calls.
 
     >>> oracle_product((2, 1, 3), (2, 1, 3))
     {(3, 1, 2): 1}
+    >>> oracle_product((2, 1, 3), (2, 3, 1), 3)
+    {(3, 2, 1): 1}
+    >>> oracle_product((2, 1), (2, 1), 2)
+    {}
     """
-    n = max(len(x), len(y))
+    n = max(len(x), len(y)) if degree is None else degree
     xs = permutations.pad(x, n)
     ys = permutations.pad(y, n)
-    m = 2 * n - 1
-    product = multiply(schubert_poly(xs, m), schubert_poly(ys, m))
-    expansion = expand_schubert(product)
-    if len(_SCHUBERT_CACHE) > SCHUBERT_CACHE_MAX_ENTRIES:
-        _SCHUBERT_CACHE.clear()
-    return expansion
+    for w in (xs, ys):
+        if not permutations.is_perm(w):
+            raise ValueError(f"{w} is not a permutation")
+    if degree is not None and permutations.length(xs) + permutations.length(ys) > n * (n - 1) // 2:
+        return {}
+    expansion = expand_schubert(multiply(schubert_poly(xs, n), schubert_poly(ys, n)), degree)
+    if schubert_cache_size() > SCHUBERT_CACHE_MAX_ENTRIES:
+        clear_schubert_cache()
+    return expansion if degree is None else restrict_to_degree(expansion, degree)
 
 
 def restrict_to_degree(expansion: Mapping[Perm, int], n: int) -> dict[Perm, int]:

@@ -9,8 +9,9 @@ against these, never the library against itself.  The exceptions are
 :func:`w_set_scan`, the w-set by its definition, built from the package's
 action and length slices, and :func:`expand_schubert_scan` and
 :func:`reconstruct`, the greedy Schubert expansion by a full scan for each
-leader and its inverse, built from the package's Schubert polynomials;
-those pieces are tested on their own.
+leader and its inverse, built from the package's Schubert polynomials,
+and :func:`oracle_product_2n`, the oracle in 2n - 1 variables; those
+pieces are tested on their own.
 """
 
 from __future__ import annotations
@@ -209,6 +210,17 @@ def expand_schubert_scan(poly) -> dict:
         if exps in work:
             raise AssertionError("leading term failed to cancel")
     return out
+
+
+def oracle_product_2n(x, y) -> dict:
+    """S_x . S_y expanded in 2n - 1 variables, with the product taken by
+    MultiPoly's tuple arithmetic and no degree: the oracle's earlier
+    layout, the reference for its n-variable and degree-n paths."""
+    n = max(len(x), len(y))
+    m = 2 * n - 1
+    sx = oracle.schubert_poly(permutations.pad(x, n), m)
+    sy = oracle.schubert_poly(permutations.pad(y, n), m)
+    return oracle.expand_schubert(sx * sy)
 
 
 def leading_exponent(poly):

@@ -1,3 +1,9 @@
+import importlib.util
+import itertools
+import json
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +17,7 @@ from conftest import (
     expand_schubert_scan,
     leading_exponent,
     monk_rule,
+    oracle_product_2n,
     reconstruct,
     simple,
     vars_needed_scan,
@@ -60,9 +67,16 @@ def test_multiply_arity_agreement(p, q):
         prod = O.multiply(p, q)
         assert prod.arity == p.arity
         assert all(c != 0 for c in prod.coeffs.values())
+        assert prod == p * q
     else:
         with pytest.raises(ValueError):
             O.multiply(p, q)
+
+
+def test_multiply_beyond_a_byte():
+    # exponents above 255 do not fit the packed product and take p * q
+    p, q = MultiPoly(2, {(200, 1): 1}), MultiPoly(2, {(100, 0): 2, (0, 3): 1})
+    assert O.multiply(p, q).coeffs == {(300, 1): 2, (200, 4): 1}
 
 
 # divided differences
@@ -128,6 +142,22 @@ def test_schubert_poly_stability():
     assert O.schubert_poly((2, 1), 4) == O.schubert_poly((2, 1, 3, 4), 4)
 
 
+def test_schubert_poly_any_arity_after_warm_calls():
+    # one cached polynomial per arity; each call hands out its own copy
+    O.clear_schubert_cache()
+    for w in all_perms(4):
+        at_n = O.schubert_poly(w, 4)
+        for m in (7, 4, 3):
+            if m >= O._last_descent(w):
+                got = O.schubert_poly(w, m)
+                assert got.coeffs == {e[:m] + (0,) * (m - 4): c for e, c in at_n.coeffs.items()}
+                got.coeffs.clear()
+                assert O.schubert_poly(w, m).coeffs
+    assert O.schubert_cache_size() == len(O._SCHUBERT_CACHE) > 0
+    O.clear_schubert_cache()
+    assert O.schubert_cache_size() == 0
+
+
 def test_schubert_poly_m_too_small():
     with pytest.raises(ValueError):
         O.schubert_poly((1, 3, 2), 1)  # needs x2
@@ -186,6 +216,37 @@ def test_expand_roundtrip_s5():
         assert O.expand_schubert(O.schubert_poly(w, 5)) == {P.trim(w): 1}
 
 
+def test_expand_degree_arguments():
+    with pytest.raises(ValueError):
+        O.expand_schubert(MultiPoly(3, {(1, 0, 0): 1}), 2)  # degree below the arity
+    with pytest.raises(ValueError):
+        O.expand_schubert(MultiPoly(1, {(256,): 1}))  # past a packed exponent
+    # x1^2 + x1 x2 is S_312 + S_231, and x1^3 is S_4123, outside S_3
+    p = MultiPoly(3, {(2, 0, 0): 1, (1, 1, 0): 1, (3, 0, 0): 1})
+    assert O.expand_schubert(p, 3) == {(2, 3, 1): 1, (3, 1, 2): 1}
+    assert O.expand_schubert(p) == {(4, 1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1}
+
+
+def h_poly(d, k, n):
+    """h_d(x_1..x_k) in n variables, by its definition."""
+    return MultiPoly(n, {
+        exps + (0,) * (n - k): 1
+        for exps in itertools.product(range(d + 1), repeat=k)
+        if sum(exps) == d
+    })
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_box_reducers_lie_in_the_coinvariant_ideal(n):
+    # h_(n-k+1)(x_1..x_k), which the degree-n greedy subtracts, expands
+    # into S_w with w outside S_n only, so it adds nothing to the S_n part
+    for k in range(1, n + 1):
+        h = h_poly(n - k + 1, k, n)
+        expansion = O.expand_schubert(h)
+        assert expansion and all(len(P.trim(w)) > n for w in expansion), (n, k)
+        assert O.expand_schubert(h, n) == {}
+
+
 def test_expand_signed_input():
     m = 3
     p = MultiPoly(m, {(1, 0, 0): 2, (0, 1, 0): -3})
@@ -229,6 +290,58 @@ def test_oracle_product_examples():
 
 def test_oracle_product_mixed_degrees():
     assert O.oracle_product((2, 1), (2, 1, 3)) == {(3, 1, 2): 1}
+    assert O.oracle_product((2, 1), (2, 1, 3), 3) == {(3, 1, 2): 1}
+    assert O.oracle_product((2, 1), (2, 1), 4) == {(3, 1, 2, 4): 1}
+    with pytest.raises(ValueError):
+        O.oracle_product((2, 1), (2, 1, 3), 2)
+    with pytest.raises(ValueError):
+        O.oracle_product((3, 3, 1), (2, 1, 3), 3)
+
+
+def test_oracle_product_matches_reference_s1_to_s5():
+    # every pair of S_1..S_5: all terms against the 2n - 1 reference in
+    # S_5, and the degree-n path against its S_n part throughout
+    for n in range(1, 6):
+        for x in all_perms(n):
+            for y in all_perms(n):
+                ref = oracle_product_2n(x, y)
+                if n == 5:
+                    assert O.oracle_product(x, y) == ref, (x, y)
+                assert O.oracle_product(x, y, n) == O.restrict_to_degree(ref, n), (x, y)
+
+
+@pytest.mark.parametrize("n, count", [(7, 50), (8, 16)])
+def test_oracle_product_matches_reference_seeded(n, count):
+    # seeded pairs short enough to have an S_n part (l(x) + l(y) <= l(w0))
+    rng = random.Random(n)
+    checked = 0
+    while checked < count:
+        x, y = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
+        if P.length(x) + P.length(y) > n * (n - 1) // 2:
+            continue
+        ref = oracle_product_2n(x, y)
+        if n == 7:
+            assert O.oracle_product(x, y) == ref, (x, y)
+        assert O.oracle_product(x, y, n) == O.restrict_to_degree(ref, n), (x, y)
+        checked += 1
+
+
+def test_degree_cut_s4(monkeypatch):
+    # past l(w0) = 6 the coinvariant ring is 0: no S_4 terms on either path,
+    # and the degree-4 path returns before it multiplies
+    long_pairs = [(x, y) for x in all_perms(4) for y in all_perms(4) if P.length(x) + P.length(y) > 6]
+    # lengths in S_4 count 1, 3, 5, 6, 5, 3, 1; of the 576 pairs, 106 sum
+    # to 6 and by symmetry half the rest sum to more
+    assert len(long_pairs) == 235
+    for x, y in long_pairs:
+        assert O.restrict_to_degree(O.oracle_product(x, y), 4) == {}
+
+    def no_multiply(p, q):
+        raise AssertionError("multiplied past the degree cut")
+
+    monkeypatch.setattr(O, "multiply", no_multiply)
+    for x, y in long_pairs:
+        assert O.oracle_product(x, y, 4) == {}
 
 
 def test_schubert_cache_cap(monkeypatch):
@@ -273,3 +386,22 @@ def test_monk_against_transposition_rule():
 def test_monk_examples():
     assert O.oracle_product(P.identity(3), simple(1, 3)) == {(2, 1): 1}
     assert O.oracle_product((2, 1, 3), simple(1, 3)) == {(3, 1, 2): 1}
+
+
+def test_bench_oracle_counts_small_cases():
+    # tools/bench_oracle.py counts by wrapping oracle internals; its small
+    # cases must reproduce the committed BENCH file through that counter
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    cases = json.loads(bench.BENCH_FILE.read_text())["cases"]
+    originals = (O.multiply, O._divdiff_dict, O._schubert_coeffs, O._box_reducer, P.code_to_perm)
+    small = [c for c in cases if c["name"] in ("alternating n=8", "heavy S_8 pairs")]
+    assert len(small) == 4
+    for case in small:
+        n, make = bench.INPUTS[case["name"]]
+        counts, _ = bench.run_case(make(), n if case["mode"] == "restricted" else None)
+        assert counts == case["counts"], case["name"]
+    # the counter puts the oracle's own functions back
+    assert (O.multiply, O._divdiff_dict, O._schubert_coeffs, O._box_reducer, P.code_to_perm) == originals

@@ -1,8 +1,7 @@
 import functools
+import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from schubert_clans import clans as C
 from schubert_clans import oracle as O
@@ -191,16 +190,28 @@ def admissible_list(n, p):
     return list(R.admissible_pairs(n, p))
 
 
+# The clan rule against the oracle on seeded admissible pairs, drawn along
+# the heavy tail: product sizes at n = 8 and 9 run from 1 to over 100
+# terms, and uniform draws rarely leave the small ones.  A seeded pool of
+# pairs is sized by the clan rule and up to STRATA_PER_BAND pairs are drawn
+# from each band floor(log2(terms)), the top bands included.
+STRATA_POOL = 1500
+STRATA_PER_BAND = 3
+
+
 @pytest.mark.parametrize("n", [8, 9])
-@given(data=st.data())
-@settings(max_examples=12, derandomize=True, deadline=None)
-def test_oracle_equivalence_random_pairs(n, data):
-    p = data.draw(st.integers(1, n - 1), label="p")
-    u, v = data.draw(st.sampled_from(admissible_list(n, p)), label="(u, v)")
-    x = P.compose(P.longest(n), u)
-    fast = R.special_product(x, v, p)
-    slow = O.restrict_to_degree(O.oracle_product(x, v), n)
-    assert fast == slow
+def test_oracle_equivalence_random_pairs(n):
+    rng = random.Random(n)
+    pairs = [(p, u, v) for p in range(1, n) for u, v in admissible_list(n, p)]
+    bands = {}
+    for p, u, v in rng.sample(pairs, min(len(pairs), STRATA_POOL)):
+        x = P.compose(P.longest(n), u)
+        fast = R.special_product(x, v, p)
+        bands.setdefault(len(fast).bit_length() - 1, []).append((x, v, fast))
+    assert max(bands) >= 6  # products of 64 terms and more
+    for band in bands.values():
+        for x, v, fast in rng.sample(band, min(len(band), STRATA_PER_BAND)):
+            assert O.oracle_product(x, v, n) == fast, (x, v)
 
 
 def test_alternating_product_n9_matches_oracle():
