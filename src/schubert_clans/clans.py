@@ -118,12 +118,8 @@ def parse_clan(text: str, p: int | None = None, q: int | None = None) -> Clan:
     return gamma
 
 
-def format_clan(gamma: Clan, compact: bool = False) -> str:
+def format_clan(gamma: Clan) -> str:
     """Render a clan as text; inverse of :func:`parse_clan`."""
-    if compact:
-        if any(isinstance(s, int) and s > 9 for s in gamma):
-            raise ValueError("compact form needs single-digit labels")
-        return "".join(str(s) for s in gamma)
     return "(" + ",".join(str(s) for s in gamma) + ")"
 
 

@@ -15,10 +15,10 @@ it.  Subtracting coeff * S_w therefore strictly shrinks the leading term,
 the exponent-to-code bijection names the next basis element for free, and
 no subtraction adds a monomial above the current leader.  The last point
 lets the leaders come off a heap filled as monomials appear, instead of a
-scan of the whole working polynomial for each output term.  Inside the
-greedy and the product, an exponent vector is an int with one byte per
-variable, x_1 lowest: int order is then the right-to-left order, and
-multiplying by a monomial is an integer addition.
+scan of the whole working polynomial for each output term.  Inside this
+module an exponent vector is an int with one byte per variable, x_1 lowest:
+int order is then the right-to-left order, multiplying by a monomial is an
+integer addition, and a monomial is the same int at every arity.
 
 A product of x, y in S_n needs n variables.  S_x and S_y lie in
 Z[x_1..x_{n-1}], and the S_w with last descent at most n - 1 form a Z-basis
@@ -48,7 +48,7 @@ import functools
 import heapq
 import itertools
 import operator
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from . import permutations
 from .permutations import Perm
@@ -187,8 +187,7 @@ def multiply(p: MultiPoly, q: MultiPoly) -> MultiPoly:
                 out[key] = newc
             else:
                 del out[key]
-    m = p.arity
-    return MultiPoly._raw(m, {tuple(v.to_bytes(m, "little")): c for v, c in out.items()})
+    return MultiPoly._raw(p.arity, _unpack(out, p.arity))
 
 
 def divided_difference(i: int, p: MultiPoly) -> MultiPoly:
@@ -200,39 +199,39 @@ def divided_difference(i: int, p: MultiPoly) -> MultiPoly:
     """
     if not 1 <= i <= p.arity - 1:
         raise IndexError(f"divided difference index must lie in 1..{p.arity - 1}")
-    return MultiPoly._raw(p.arity, _divdiff_dict(p.coeffs, i - 1))
+    if max(map(max, p.coeffs), default=0) > 255:
+        raise ValueError("divided_difference takes exponents of at most 255")
+    packed = {_pack(e): c for e, c in p.coeffs.items()}
+    return MultiPoly._raw(p.arity, _unpack(_divdiff(packed, i - 1), p.arity))
 
 
-def _divdiff_dict(coeffs: Mapping[ExpVec, int], k: int) -> dict[ExpVec, int]:
-    """divided_difference on a raw coefficient dict; k is 0-indexed."""
-    out: dict[ExpVec, int] = {}
-    for exps, c in coeffs.items():
-        a, b = exps[k], exps[k + 1]
+def _divdiff(coeffs: Mapping[int, int], k: int) -> dict[int, int]:
+    """divided_difference on packed monomials; k is 0-indexed."""
+    shift = 8 * k
+    step = 255 << shift  # x_(k+1)^-1 x_(k+2), packed
+    out: dict[int, int] = {}
+    for v, c in coeffs.items():
+        a, b = (v >> shift) & 255, (v >> (shift + 8)) & 255
         if a == b:
             continue
         lo, hi, sign = (b, a, c) if a > b else (a, b, -c)
-        base = list(exps)
-        for t in range(hi - lo):
-            base[k] = hi - 1 - t
-            base[k + 1] = lo + t
-            key = tuple(base)
+        key = v + ((hi - 1 - a) << shift) + ((lo - b) << (shift + 8))
+        for _ in range(hi - lo):
             newc = out.get(key, 0) + sign
             if newc:
                 out[key] = newc
             else:
                 del out[key]
+            key += step
     return out
 
 
-# Schubert polynomials by (trimmed w, arity m).  The divided differences run
-# at arity len(w), the smallest that holds them: the last variable never
-# survives into S_w, but the steps pass through monomials that use it.  An
-# entry at any other arity is that polynomial padded or cut to m, stored so
-# that a warm call does no work.
-_SCHUBERT_CACHE: dict[tuple[Perm, int], dict[ExpVec, int]] = {}
+# Schubert polynomials by trimmed w, packed.  Neither S_w nor a packed
+# monomial depends on the number of variables, so one entry serves every m.
+_SCHUBERT_CACHE: dict[Perm, dict[int, int]] = {}
 # Most entries the cache keeps between oracle_product calls: a call that
-# leaves more clears it.  An n = 8 sweep leaves 10,150 entries of about 10 kB
-# each, so the cap sits well above any sweep and near 200 MB at that size.
+# leaves more clears it.  An n = 8 sweep leaves 8,870 entries of about 5 kB
+# each, so the cap sits well above any sweep and near 100 MB at that size.
 SCHUBERT_CACHE_MAX_ENTRIES = 20_000
 
 
@@ -246,26 +245,22 @@ def schubert_cache_size() -> int:
     return len(_SCHUBERT_CACHE)
 
 
-def _schubert_coeffs(w: Perm, m: int) -> dict[ExpVec, int]:
-    """Coefficients of S_w at arity m, for trimmed w and m at least w's last
-    descent; the caller must not mutate them.  Recursion: peel the first
-    ascent i via S_w = d_i S_{w s_i}, bottoming out at the staircase monomial
-    for w0."""
-    key = (w, m)
-    cached = _SCHUBERT_CACHE.get(key)
+def _schubert_coeffs(w: Perm) -> dict[int, int]:
+    """Packed coefficients of S_w for trimmed w; the caller must not mutate
+    them.  Recursion: peel the first ascent i via S_w = d_i S_{w s_i},
+    bottoming out at the staircase monomial for w0 of S_len(w)."""
+    cached = _SCHUBERT_CACHE.get(w)
     if cached is not None:
         return cached
     d = len(w)
     ascent = next((i for i in range(d - 1) if w[i] < w[i + 1]), None)
-    if m != d:
-        result = {e[:m] + (0,) * (m - d): c for e, c in _schubert_coeffs(w, d).items()}
-    elif ascent is None:
-        result = {tuple(d - 1 - i for i in range(d)): 1}
+    if ascent is None:
+        result = {_pack(range(d - 1, -1, -1)): 1}
     else:
         up = list(w)
         up[ascent], up[ascent + 1] = up[ascent + 1], up[ascent]
-        result = _divdiff_dict(_schubert_coeffs(tuple(up), d), ascent)
-    _SCHUBERT_CACHE[key] = result
+        result = _divdiff(_schubert_coeffs(tuple(up)), ascent)
+    _SCHUBERT_CACHE[w] = result
     return result
 
 
@@ -289,14 +284,19 @@ def schubert_poly(w: Perm, m: int) -> MultiPoly:
     needed = _last_descent(wt)
     if m < needed:
         raise ValueError(f"S_{permutations.format_perm(w)} uses {needed} variables, m = {m} is too small")
-    return MultiPoly._raw(m, dict(_schubert_coeffs(wt, m)))
+    return MultiPoly._raw(m, _unpack(_schubert_coeffs(wt), m))
 
 
-def _pack(exps: ExpVec) -> int:
+def _pack(exps: Iterable[int]) -> int:
     """An exponent vector as an int, one byte per variable with x_1 lowest.
     Int order is then right-to-left lexicographic order, and multiplying
     two monomials adds their ints."""
     return int.from_bytes(bytes(exps), "little")
+
+
+def _unpack(coeffs: Mapping[int, int], m: int) -> dict[ExpVec, int]:
+    """Packed coefficients as exponent tuples of length m (m must hold them)."""
+    return {tuple(v.to_bytes(m, "little")): c for v, c in coeffs.items()}
 
 
 @functools.lru_cache(maxsize=256)
@@ -361,11 +361,11 @@ def expand_schubert(p: MultiPoly, degree: int | None = None) -> dict[Perm, int]:
         if k is None:
             w = permutations.code_to_perm(tuple(exps.rstrip(b"\0")))
             out[w] = out.get(w, 0) + c
-            terms = [(_pack(e), c * sc) for e, sc in _schubert_coeffs(w, m).items()]
+            terms = _schubert_coeffs(w).items()
         else:
-            terms = [(v + shift, c) for shift in _box_reducer(k + 1, degree)]
-        for se, drop in terms:
-            old = work.get(se)
+            terms = ((v + shift, 1) for shift in _box_reducer(k + 1, degree))
+        for se, sc in terms:
+            drop, old = c * sc, work.get(se)
             if old is None:
                 work[se] = -drop
                 heapq.heappush(heap, -se)

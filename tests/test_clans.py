@@ -37,7 +37,8 @@ def test_parse_errors():
 def test_parse_idempotent_on_output():
     for gamma in C.enumerate_clans(2, 2):
         assert C.parse_clan(C.format_clan(gamma)) == gamma
-        assert C.parse_clan(C.format_clan(gamma, compact=True)) == gamma
+        # the compact form, which parse_clan also reads
+        assert C.parse_clan("".join(map(str, gamma))) == gamma
 
 
 def test_signature():

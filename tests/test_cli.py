@@ -57,6 +57,14 @@ def test_product_perm_guard_exits_2(capsys):
     assert "guard" in err
 
 
+def test_product_bad_perm_guard_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("SCHUBERT_CLANS_PERM_GUARD", "ten")
+    code, out, err = run_cli(capsys, "product", "--x", "31425", "--y", "14253", "--p", "3")
+    assert code == 2
+    assert out == ""
+    assert "SCHUBERT_CLANS_PERM_GUARD" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

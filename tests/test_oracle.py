@@ -94,6 +94,9 @@ def test_divdiff_basic():
     assert O.divided_difference(1, cube).coeffs == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
     with pytest.raises(IndexError):
         O.divided_difference(2, p)
+    # the operator works on packed exponents, one byte each
+    with pytest.raises(ValueError):
+        O.divided_difference(1, MultiPoly(2, {(256, 0): 1}))
 
 
 @given(polys())
@@ -143,7 +146,8 @@ def test_schubert_poly_stability():
 
 
 def test_schubert_poly_any_arity_after_warm_calls():
-    # one cached polynomial per arity; each call hands out its own copy
+    # one cached polynomial per trimmed permutation, whatever the arity;
+    # each call hands out its own copy
     O.clear_schubert_cache()
     for w in all_perms(4):
         at_n = O.schubert_poly(w, 4)
@@ -153,7 +157,9 @@ def test_schubert_poly_any_arity_after_warm_calls():
                 assert got.coeffs == {e[:m] + (0,) * (m - 4): c for e, c in at_n.coeffs.items()}
                 got.coeffs.clear()
                 assert O.schubert_poly(w, m).coeffs
-    assert O.schubert_cache_size() == len(O._SCHUBERT_CACHE) > 0
+    # building S_w for w in S_4 passes only through trimmed permutations of S_4
+    assert set(O._SCHUBERT_CACHE) == {P.trim(w) for w in all_perms(4)}
+    assert O.schubert_cache_size() == 24
     O.clear_schubert_cache()
     assert O.schubert_cache_size() == 0
 
@@ -396,7 +402,7 @@ def test_bench_oracle_counts_small_cases():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     cases = json.loads(bench.BENCH_FILE.read_text())["cases"]
-    originals = (O.multiply, O._divdiff_dict, O._schubert_coeffs, O._box_reducer, P.code_to_perm)
+    originals = (O.multiply, O._divdiff, O._schubert_coeffs, O._box_reducer, P.code_to_perm)
     small = [c for c in cases if c["name"] in ("alternating n=8", "heavy S_8 pairs")]
     assert len(small) == 4
     for case in small:
@@ -404,4 +410,4 @@ def test_bench_oracle_counts_small_cases():
         counts, _ = bench.run_case(make(), n if case["mode"] == "restricted" else None)
         assert counts == case["counts"], case["name"]
     # the counter puts the oracle's own functions back
-    assert (O.multiply, O._divdiff_dict, O._schubert_coeffs, O._box_reducer, P.code_to_perm) == originals
+    assert (O.multiply, O._divdiff, O._schubert_coeffs, O._box_reducer, P.code_to_perm) == originals

@@ -176,6 +176,30 @@ def test_structure_constant_wrong_length():
         R.structure_constant((2, 1), (1, 2), (2, 1, 3), 1)
 
 
+def test_structure_constant_rejects_a_non_permutation_w():
+    # 55511 has the product's length 6, so only the permutation check stops it
+    with pytest.raises(ValueError, match="w = 55511 is not a permutation"):
+        R.structure_constant((3, 1, 4, 2, 5), (1, 4, 2, 5, 3), (5, 5, 5, 1, 1), 3)
+
+
+def test_clan_of_pair_rejects_a_non_permutation():
+    # 331 passes both shuffle checks and would pair with 123 into (1,-,1)
+    with pytest.raises(ValueError, match="u = 331 is not a permutation"):
+        R.clan_of_pair((3, 3, 1), (1, 2, 3), 1)
+    with pytest.raises(ValueError, match="v = 113 is not a permutation"):
+        R.clan_of_pair((3, 2, 1), (1, 1, 3), 1)
+
+
+def test_special_product_rejects_non_permutations():
+    # x is checked before w0 x is formed: 012 would index w0 from the end
+    # and compose to a permutation
+    for x in ((1, 1, 2), (0, 1, 2), (5, 1, 2)):
+        with pytest.raises(ValueError, match=f"x = {P.format_perm(x)} is not a permutation"):
+            R.special_product(x, (1, 2, 3), 1)
+    with pytest.raises(ValueError, match="y = 113 is not a permutation"):
+        R.special_product((1, 3, 2), (1, 1, 3), 1)
+
+
 def test_oracle_equivalence_n4():
     for p in range(1, 4):
         for u, v in R.admissible_pairs(4, p):

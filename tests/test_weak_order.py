@@ -356,6 +356,12 @@ def test_w_set_guard(monkeypatch):
         W.w_set(("+",) * 5 + ("-",) * 6)
 
 
+def test_w_set_guard_from_the_environment(monkeypatch):
+    # the variable raises the default guard when no guard= is passed
+    monkeypatch.setenv(PERM_GUARD_ENV, "12")
+    assert len(W.w_set(("+",) * 5 + ("-",) * 6)) == 1
+
+
 def test_brion_class():
     expansion = W.brion_class(C.parse_clan("(+,-,+,-,+)"))
     assert len(expansion) == 8

@@ -71,14 +71,14 @@ class Counter:
     def __init__(self):
         self.counts = dict.fromkeys(COUNTS, 0)
         self._saved = []
-        schubert_coeffs, divdiff = oracle._schubert_coeffs, oracle._divdiff_dict
+        schubert_coeffs, divdiff = oracle._schubert_coeffs, oracle._divdiff
         multiply, box_reducer = oracle.multiply, oracle._box_reducer
         code_to_perm = permutations.code_to_perm
         counts, cache = self.counts, oracle._SCHUBERT_CACHE
 
-        def count_schubert(w, m):
-            counts["schubert_built"] += (w, m) not in cache
-            return schubert_coeffs(w, m)
+        def count_schubert(w):
+            counts["schubert_built"] += w not in cache
+            return schubert_coeffs(w)
 
         def count_divdiff(coeffs, k):
             counts["divided_differences"] += 1
@@ -98,7 +98,7 @@ class Counter:
             return box_reducer(k, n)
 
         self._patch(oracle, "_schubert_coeffs", count_schubert)
-        self._patch(oracle, "_divdiff_dict", count_divdiff)
+        self._patch(oracle, "_divdiff", count_divdiff)
         self._patch(oracle, "multiply", count_multiply)
         self._patch(oracle, "_box_reducer", count_ideal_step)
         self._patch(permutations, "code_to_perm", count_box_leader)
