@@ -12,6 +12,7 @@ comma-separated ``"3,5,2,4,1"`` for larger n; both are accepted on input.
 
 from __future__ import annotations
 
+import bisect
 from typing import Iterable, Sequence
 
 from .guards import DEFAULT_PERM_GUARD, PERM_GUARD_ENV, check_guard, resolve_guard
@@ -22,6 +23,12 @@ Perm = tuple[int, ...]
 def is_perm(values: Sequence[int]) -> bool:
     """True iff ``values`` lists each of 1..n exactly once."""
     return sorted(values) == list(range(1, len(values) + 1))
+
+
+def require_perm(name: str, w: Perm) -> None:
+    """Raise ValueError naming the argument ``name`` unless w is a permutation."""
+    if not is_perm(w):
+        raise ValueError(f"{name} = {format_perm(w)} is not a permutation of 1..{len(w)}")
 
 
 def perm(values: Iterable[int]) -> Perm:
@@ -63,7 +70,37 @@ def compose(a: Perm, b: Perm) -> Perm:
     """
     if len(a) != len(b):
         raise ValueError(f"degree mismatch: {len(a)} vs {len(b)}")
-    return tuple(a[b[i] - 1] for i in range(len(a)))
+    # once b's values lie in 1..n, a o b is a permutation exactly when a
+    # and b both are, so one check of the result covers both arguments
+    try:
+        out = tuple([a[v - 1] for v in b]) if not b or min(b) >= 1 else None
+    except IndexError:
+        out = None
+    if out is None or not is_perm(out):
+        require_perm("a", a)
+        require_perm("b", b)
+    return out
+
+
+def bruhat_leq(u: Perm, v: Perm) -> bool:
+    """Whether u <= v in Bruhat order, by the tableau criterion: for every
+    k, the values u(1..k) sorted lie entrywise at or below v(1..k) sorted.
+
+    >>> bruhat_leq((1, 3, 2), (3, 1, 2)), bruhat_leq((2, 3, 1), (3, 1, 2))
+    (True, False)
+    """
+    if len(u) != len(v):
+        raise ValueError(f"degree mismatch: {len(u)} vs {len(v)}")
+    require_perm("u", u)
+    require_perm("v", v)
+    low: list[int] = []
+    high: list[int] = []
+    for a, b in zip(u[:-1], v[:-1]):
+        bisect.insort(low, a)
+        bisect.insort(high, b)
+        if any(x > y for x, y in zip(low, high)):
+            return False
+    return True
 
 
 def inverse(w: Perm) -> Perm:

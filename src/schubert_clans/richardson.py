@@ -49,8 +49,8 @@ def _require_shuffles(u: Perm, v: Perm, p: int, x: Perm | None = None) -> None:
         raise ValueError(f"degree mismatch: {len(u)} vs {len(v)}")
     if not 0 <= p <= len(u):
         raise ValueError(f"block size p must lie in 0..{len(u)}, got {p}")
-    _require_perm("u", u)
-    _require_perm("v" if x is None else "y", v)
+    permutations.require_perm("u", u)
+    permutations.require_perm("v" if x is None else "y", v)
     if not permutations.is_descending_shuffle(u, p):
         if x is None:
             what = f"u = {permutations.format_perm(u)} is not a descending shuffle at p = {p}"
@@ -68,11 +68,6 @@ def _require_shuffles(u: Perm, v: Perm, p: int, x: Perm | None = None) -> None:
             f"shuffle at p = {p}: the values <= {p} and the values > {p} must each appear "
             f"in ascending order"
         )
-
-
-def _require_perm(name: str, w: Perm) -> None:
-    if not permutations.is_perm(w):
-        raise ValueError(f"{name} = {permutations.format_perm(w)} is not a permutation of 1..{len(w)}")
 
 
 def shuffles_comparable(u: Perm, v: Perm, p: int) -> bool:
@@ -188,7 +183,7 @@ def pair_of_clan(gamma: Clan) -> tuple[Perm, Perm]:
 def _product_clan(x: Perm, y: Perm, p: int) -> Clan:
     """The clan of the pair (w0 x, y) behind S_x . S_y.  A failed input
     check is reported again by the names the caller gave, x and y."""
-    _require_perm("x", x)
+    permutations.require_perm("x", x)
     u = permutations.compose(permutations.longest(len(x)), x)
     try:
         return clan_of_pair(u, y, p)
@@ -219,7 +214,7 @@ def structure_constant(x: Perm, y: Perm, w: Perm, p: int) -> int:
     n = len(x)
     if len(w) != n:
         raise ValueError("x, y and w must share one degree")
-    _require_perm("w", w)
+    permutations.require_perm("w", w)
     want = permutations.length(x) + permutations.length(y)
     if permutations.length(w) != want:
         raise ValueError(

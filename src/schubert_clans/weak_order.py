@@ -104,6 +104,7 @@ def act(w: Perm, gamma: Clan) -> Clan:
     """
     if len(w) != len(gamma):
         raise ValueError(f"degree mismatch: permutation in S_{len(w)}, clan of length {len(gamma)}")
+    permutations.require_perm("w", w)
     return act_word(permutations.reduced_word(w), gamma)
 
 

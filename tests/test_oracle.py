@@ -316,20 +316,61 @@ def test_oracle_product_matches_reference_s1_to_s5():
                 assert O.oracle_product(x, y, n) == O.restrict_to_degree(ref, n), (x, y)
 
 
-@pytest.mark.parametrize("n, count", [(7, 50), (8, 16)])
-def test_oracle_product_matches_reference_seeded(n, count):
-    # seeded pairs short enough to have an S_n part (l(x) + l(y) <= l(w0))
+SEEDED = [(7, 50), (8, 16)]
+
+
+def seeded_pairs(n, count):
+    """count seeded pairs of S_n short enough to have an S_n part by
+    degree (l(x) + l(y) <= l(w0))."""
     rng = random.Random(n)
-    checked = 0
-    while checked < count:
+    pairs = []
+    while len(pairs) < count:
         x, y = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(2))
-        if P.length(x) + P.length(y) > n * (n - 1) // 2:
-            continue
+        if P.length(x) + P.length(y) <= n * (n - 1) // 2:
+            pairs.append((x, y))
+    return pairs
+
+
+@pytest.mark.parametrize("n, count", SEEDED)
+def test_oracle_product_matches_reference_seeded(n, count):
+    for x, y in seeded_pairs(n, count):
         ref = oracle_product_2n(x, y)
         if n == 7:
             assert O.oracle_product(x, y) == ref, (x, y)
         assert O.oracle_product(x, y, n) == O.restrict_to_degree(ref, n), (x, y)
-        checked += 1
+
+
+def uncut_greedy(x, y, n):
+    """The S_n part of S_x . S_y by the degree-n greedy, with no cut before it."""
+    return O.expand_schubert(O.multiply(O.schubert_poly(x, n), O.schubert_poly(y, n)), n)
+
+
+def w0_times(y):
+    return tuple(len(y) + 1 - v for v in y)
+
+
+def test_bruhat_cut_matches_uncut_greedy_s1_to_s5():
+    # the fact the degree path's cut rests on, by arithmetic: the S_n part
+    # is nonempty exactly when x <= w0 y
+    nonempty = 0
+    for n in range(1, 6):
+        for x in all_perms(n):
+            for y in all_perms(n):
+                has_part = bool(uncut_greedy(x, y, n))
+                assert has_part == P.bruhat_leq(x, w0_times(y)), (x, y)
+                nonempty += has_part
+    # y -> w0 y is a bijection, so these are the Bruhat pairs x <= z of
+    # S_1..S_5: 1 + 3 + 19 + 213 + 3781 (OEIS A007767)
+    assert nonempty == 4017
+
+
+@pytest.mark.parametrize("n, count", SEEDED)
+def test_bruhat_cut_matches_uncut_greedy_seeded(n, count):
+    pairs = seeded_pairs(n, count)
+    results = [bool(uncut_greedy(x, y, n)) for x, y in pairs]
+    assert results == [P.bruhat_leq(x, w0_times(y)) for x, y in pairs]
+    # both sides of the cut occur among the pairs
+    assert 0 < sum(results) < count
 
 
 def test_degree_cut_s4(monkeypatch):
@@ -348,6 +389,24 @@ def test_degree_cut_s4(monkeypatch):
     monkeypatch.setattr(O, "multiply", no_multiply)
     for x, y in long_pairs:
         assert O.oracle_product(x, y, 4) == {}
+
+
+def test_bruhat_cut_skips_the_multiply(monkeypatch):
+    # l(x) + l(y) = 24 <= 28 passes the degree cut, but x is not below w0 y;
+    # the uncut greedy spends 378 ideal steps to reach {}
+    x, y = (1, 4, 5, 6, 7, 8, 2, 3), (6, 5, 3, 2, 4, 7, 1, 8)
+    assert P.length(x) + P.length(y) == 24
+    assert not P.bruhat_leq(x, w0_times(y))
+    assert uncut_greedy(x, y, 8) == {}
+
+    def no_multiply(p, q):
+        raise AssertionError("multiplied past the Bruhat cut")
+
+    monkeypatch.setattr(O, "multiply", no_multiply)
+    O.clear_schubert_cache()
+    assert O.oracle_product(x, y, 8) == {}
+    # nor was any Schubert polynomial built
+    assert O.schubert_cache_size() == 0
 
 
 def test_schubert_cache_cap(monkeypatch):
@@ -403,8 +462,9 @@ def test_bench_oracle_counts_small_cases():
     spec.loader.exec_module(bench)
     cases = json.loads(bench.BENCH_FILE.read_text())["cases"]
     originals = (O.multiply, O._divdiff, O._schubert_coeffs, O._box_reducer, P.code_to_perm)
-    small = [c for c in cases if c["name"] in ("alternating n=8", "heavy S_8 pairs")]
-    assert len(small) == 4
+    small = [c for c in cases if c["name"] in ("alternating n=8", "heavy S_8 pairs")
+             or (c["name"], c["mode"]) == ("empty S_8 products", "restricted")]
+    assert len(small) == 5
     for case in small:
         n, make = bench.INPUTS[case["name"]]
         counts, _ = bench.run_case(make(), n if case["mode"] == "restricted" else None)

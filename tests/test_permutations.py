@@ -46,6 +46,16 @@ def test_compose():
         P.compose((1, 2), (1, 2, 3))
 
 
+def test_compose_rejects_non_permutations():
+    # 0 would index w0 from the end, and 5 past it
+    with pytest.raises(ValueError, match=r"^b = 012 is not a permutation of 1\.\.3$"):
+        P.compose((3, 2, 1), (0, 1, 2))
+    with pytest.raises(ValueError, match=r"^b = 512 is not a permutation of 1\.\.3$"):
+        P.compose((3, 2, 1), (5, 1, 2))
+    with pytest.raises(ValueError, match=r"^a = 221 is not a permutation"):
+        P.compose((2, 2, 1), (1, 2, 3))
+
+
 @given(perms_strategy)
 def test_inverse_roundtrip(w):
     assert P.compose(w, P.inverse(w)) == P.identity(len(w))
@@ -97,6 +107,23 @@ def test_bruhat_examples():
     assert not bruhat_leq_rank((2, 1, 3, 4, 5), (1, 2, 3, 4, 5))
     with pytest.raises(ValueError):
         bruhat_leq_rank((1, 2), (1, 2, 3))
+
+
+def test_bruhat_leq_matches_rank_reference():
+    for n in range(1, 6):
+        perms = all_perms(n)
+        for u in perms:
+            for v in perms:
+                assert P.bruhat_leq(u, v) == bruhat_leq_rank(u, v), (u, v)
+
+
+def test_bruhat_leq_rejects_bad_input():
+    with pytest.raises(ValueError, match="degree mismatch"):
+        P.bruhat_leq((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError, match="^u = 113 is not a permutation"):
+        P.bruhat_leq((1, 1, 3), (1, 2, 3))
+    with pytest.raises(ValueError, match="^v = 104 is not a permutation"):
+        P.bruhat_leq((1, 2, 3), (1, 0, 4))
 
 
 # Lehmer codes

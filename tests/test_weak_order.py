@@ -149,6 +149,12 @@ def test_act_degree_mismatch():
         W.act((2, 1, 3), (1, 1))
 
 
+def test_act_rejects_a_non_permutation():
+    # 221 has a reduced word by descents, so the action would run on it
+    with pytest.raises(ValueError, match=r"^w = 221 is not a permutation of 1\.\.3$"):
+        W.act((2, 2, 1), ("+", "-", "+"))
+
+
 # the weak order graph
 
 def test_graph_1_1():

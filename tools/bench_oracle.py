@@ -52,6 +52,14 @@ def heavy_s8():
             for x, y in (("17432865", "51468237"), ("17432865", "25483167"))]
 
 
+def empty_s8():
+    # S_8 pairs with l(x) + l(y) <= 28 whose S_8 part is empty (x is not
+    # below w0 y): without the Bruhat cut the degree-8 greedy takes 378 and
+    # 35,278 ideal steps to reach {}
+    return [(permutations.parse_perm(x), permutations.parse_perm(y))
+            for x, y in (("14567823", "65324718"), ("13627854", "28176543"))]
+
+
 def all_pairs(n):
     perms = list(itertools.permutations(range(1, n + 1)))
     return [(x, y) for x in perms for y in perms]
@@ -61,6 +69,7 @@ INPUTS = {
     "alternating n=8": (8, lambda: alternating(8)),
     "alternating n=9": (9, lambda: alternating(9)),
     "heavy S_8 pairs": (8, heavy_s8),
+    "empty S_8 products": (8, empty_s8),
     "all S_6 x S_6": (6, lambda: all_pairs(6)),
 }
 
