@@ -19,6 +19,11 @@ scan of the whole working polynomial for each output term.  Inside this
 module an exponent vector is an int with one byte per variable, x_1 lowest:
 int order is then the right-to-left order, multiplying by a monomial is an
 integer addition, and a monomial is the same int at every arity.
+oracle_product runs on these packed ints from start to finish: the cached
+S_x and S_y, their product and the greedy's working polynomial are all
+dicts keyed by packed monomials.  schubert_poly, multiply and
+expand_schubert are the MultiPoly API over the same kernels: each packs
+its input, runs a kernel and unpacks the result.
 
 A product of x, y in S_n needs n variables.  S_x and S_y lie in
 Z[x_1..x_{n-1}], and the S_w with last descent at most n - 1 form a Z-basis
@@ -182,15 +187,19 @@ def multiply(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Exact product; arities must agree.
 
     The same as ``p * q``, but faster when every exponent of the product
-    fits a byte: the exponent vectors are then added as packed ints.
+    fits a byte: the product is then taken on packed monomials.
     """
     p._check_arity(q)
     if max(map(sum, p.coeffs), default=0) + max(map(sum, q.coeffs), default=0) > 255:
         return p * q
-    qs = [(_pack(e), c) for e, c in q.coeffs.items()]
+    return MultiPoly._raw(p.arity, _unpack(_multiply_packed(_pack_coeffs(p), _pack_coeffs(q)), p.arity))
+
+
+def _multiply_packed(p: Mapping[int, int], q: Mapping[int, int]) -> dict[int, int]:
+    """multiply on packed monomials; the product's exponents must fit a byte."""
+    qs = list(q.items())
     out: dict[int, int] = {}
-    for e1, c1 in p.coeffs.items():
-        v1 = _pack(e1)
+    for v1, c1 in p.items():
         for v2, c2 in qs:
             key = v1 + v2
             newc = out.get(key, 0) + c1 * c2
@@ -198,7 +207,7 @@ def multiply(p: MultiPoly, q: MultiPoly) -> MultiPoly:
                 out[key] = newc
             else:
                 del out[key]
-    return MultiPoly._raw(p.arity, _unpack(out, p.arity))
+    return out
 
 
 def divided_difference(i: int, p: MultiPoly) -> MultiPoly:
@@ -212,8 +221,7 @@ def divided_difference(i: int, p: MultiPoly) -> MultiPoly:
         raise IndexError(f"divided difference index must lie in 1..{p.arity - 1}")
     if max(map(max, p.coeffs), default=0) > 255:
         raise ValueError("divided_difference takes exponents of at most 255")
-    packed = {_pack(e): c for e, c in p.coeffs.items()}
-    return MultiPoly._raw(p.arity, _unpack(_divdiff(packed, i - 1), p.arity))
+    return MultiPoly._raw(p.arity, _unpack(_divdiff(_pack_coeffs(p), i - 1), p.arity))
 
 
 def _divdiff(coeffs: Mapping[int, int], k: int) -> dict[int, int]:
@@ -241,8 +249,9 @@ def _divdiff(coeffs: Mapping[int, int], k: int) -> dict[int, int]:
 # monomial depends on the number of variables, so one entry serves every m.
 _SCHUBERT_CACHE: dict[Perm, dict[int, int]] = {}
 # Most entries the cache keeps between oracle_product calls: a call that
-# leaves more clears it.  An n = 8 sweep leaves 8,870 entries of about 5 kB
-# each, so the cap sits well above any sweep and near 100 MB at that size.
+# leaves more clears it.  Entry size grows with n: an n = 8 sweep leaves
+# 8,870 entries of about 5 kB each, but at n = 9 they average 12.7 kB, and
+# the full n = 9 sweep reached 241 MB at 19,012 entries (tracemalloc).
 SCHUBERT_CACHE_MAX_ENTRIES = 20_000
 
 
@@ -305,6 +314,11 @@ def _pack(exps: Iterable[int]) -> int:
     return int.from_bytes(bytes(exps), "little")
 
 
+def _pack_coeffs(p: MultiPoly) -> dict[int, int]:
+    """P's coefficients keyed by packed monomials (exponents must fit a byte)."""
+    return {_pack(e): c for e, c in p.coeffs.items()}
+
+
 def _unpack(coeffs: Mapping[int, int], m: int) -> dict[ExpVec, int]:
     """Packed coefficients as exponent tuples of length m (m must hold them)."""
     return {tuple(v.to_bytes(m, "little")): c for v, c in coeffs.items()}
@@ -347,18 +361,28 @@ def expand_schubert(p: MultiPoly, degree: int | None = None) -> dict[Perm, int]:
     computed: the greedy works modulo I_n = (e_1, ..., e_n) as the module
     docstring describes, and cancels a leader outside the staircase box by
     an element of I_n instead of by an S_w with w outside S_n.
+    """
+    m = p.arity
+    if degree is not None and degree < m:
+        raise ValueError(f"degree {degree} is below the arity {m}")
+    _require_byte_degree(max(map(sum, p.coeffs), default=0))
+    return _expand_packed(_pack_coeffs(p), m, degree)
+
+
+def _require_byte_degree(degree: int) -> None:
+    """Raise unless a polynomial of this degree fits packed monomials."""
+    if degree > 255:
+        raise ValueError("expand_schubert takes polynomials of degree at most 255")
+
+
+def _expand_packed(work: dict[int, int], m: int, degree: int | None) -> dict[Perm, int]:
+    """expand_schubert on packed monomials in m variables, consuming work.
 
     The leaders come off a heap, which the module docstring's fact makes
     sound: a key is pushed when it enters the working polynomial and
     skipped when it is popped after it has cancelled.  The elements of I_n
     obey the same fact.
     """
-    m = p.arity
-    if degree is not None and degree < m:
-        raise ValueError(f"degree {degree} is below the arity {m}")
-    if max(map(sum, p.coeffs), default=0) > 255:
-        raise ValueError("expand_schubert takes polynomials of degree at most 255")
-    work = {_pack(e): c for e, c in p.coeffs.items()}
     heap = [-v for v in work]
     heapq.heapify(heap)
     out: dict[Perm, int] = {}
@@ -407,6 +431,10 @@ def oracle_product(x: Perm, y: Perm, degree: int | None = None) -> dict[Perm, in
     the way stay cached for later calls, up to SCHUBERT_CACHE_MAX_ENTRIES of
     them between calls.
 
+    The work runs on packed monomials throughout, by the kernels behind
+    multiply and expand_schubert; no MultiPoly is built.  The product has
+    degree l(x) + l(y), which must stay below 256, as for expand_schubert.
+
     >>> oracle_product((2, 1, 3), (2, 1, 3))
     {(3, 1, 2): 1}
     >>> oracle_product((2, 1, 3), (2, 3, 1), 3)
@@ -430,7 +458,12 @@ def oracle_product(x: Perm, y: Perm, degree: int | None = None) -> dict[Perm, in
             raise ValueError(f"{w} is not a permutation")
     if degree is not None and not permutations.bruhat_leq(xs, tuple(n + 1 - v for v in ys)):
         return {}
-    expansion = expand_schubert(multiply(schubert_poly(xs, n), schubert_poly(ys, n)), degree)
+    # deg(S_x . S_y) = l(x) + l(y) <= n(n - 1), so only n >= 17 can pass a byte
+    if n * (n - 1) > 255:
+        _require_byte_degree(permutations.length(xs) + permutations.length(ys))
+    sx = _schubert_coeffs(permutations.trim(xs))
+    sy = _schubert_coeffs(permutations.trim(ys))
+    expansion = _expand_packed(_multiply_packed(sx, sy), n, degree)
     if schubert_cache_size() > SCHUBERT_CACHE_MAX_ENTRIES:
         clear_schubert_cache()
     return expansion if degree is None else restrict_to_degree(expansion, degree)

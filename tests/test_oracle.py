@@ -233,6 +233,19 @@ def test_expand_degree_arguments():
     assert O.expand_schubert(p) == {(4, 1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1}
 
 
+def test_oracle_product_past_a_packed_exponent():
+    # l(w0) = 136 in S_17, so S_w0 . S_w0 has degree 272; oracle_product
+    # raises what expand_schubert raises on that product
+    w0 = P.longest(17)
+    message = "degree at most 255"
+    with pytest.raises(ValueError, match=message):
+        O.expand_schubert(O.multiply(O.schubert_poly(w0, 17), O.schubert_poly(w0, 17)))
+    with pytest.raises(ValueError, match=message):
+        O.oracle_product(w0, w0)
+    # x is not below w0 y = identity, so the degree path cuts first
+    assert O.oracle_product(w0, w0, 17) == {}
+
+
 def h_poly(d, k, n):
     """h_d(x_1..x_k) in n variables, by its definition."""
     return MultiPoly(n, {
@@ -386,7 +399,7 @@ def test_degree_cut_s4(monkeypatch):
     def no_multiply(p, q):
         raise AssertionError("multiplied past the degree cut")
 
-    monkeypatch.setattr(O, "multiply", no_multiply)
+    monkeypatch.setattr(O, "_multiply_packed", no_multiply)
     for x, y in long_pairs:
         assert O.oracle_product(x, y, 4) == {}
 
@@ -402,7 +415,7 @@ def test_bruhat_cut_skips_the_multiply(monkeypatch):
     def no_multiply(p, q):
         raise AssertionError("multiplied past the Bruhat cut")
 
-    monkeypatch.setattr(O, "multiply", no_multiply)
+    monkeypatch.setattr(O, "_multiply_packed", no_multiply)
     O.clear_schubert_cache()
     assert O.oracle_product(x, y, 8) == {}
     # nor was any Schubert polynomial built
@@ -461,7 +474,7 @@ def test_bench_oracle_counts_small_cases():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     cases = json.loads(bench.BENCH_FILE.read_text())["cases"]
-    originals = (O.multiply, O._divdiff, O._schubert_coeffs, O._box_reducer, P.code_to_perm)
+    originals = (O._multiply_packed, O._divdiff, O._schubert_coeffs, O._box_reducer, P.code_to_perm)
     small = [c for c in cases if c["name"] in ("alternating n=8", "heavy S_8 pairs")
              or (c["name"], c["mode"]) == ("empty S_8 products", "restricted")]
     assert len(small) == 5
@@ -470,4 +483,4 @@ def test_bench_oracle_counts_small_cases():
         counts, _ = bench.run_case(make(), n if case["mode"] == "restricted" else None)
         assert counts == case["counts"], case["name"]
     # the counter puts the oracle's own functions back
-    assert (O.multiply, O._divdiff, O._schubert_coeffs, O._box_reducer, P.code_to_perm) == originals
+    assert (O._multiply_packed, O._divdiff, O._schubert_coeffs, O._box_reducer, P.code_to_perm) == originals

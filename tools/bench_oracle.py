@@ -81,7 +81,7 @@ class Counter:
         self.counts = dict.fromkeys(COUNTS, 0)
         self._saved = []
         schubert_coeffs, divdiff = oracle._schubert_coeffs, oracle._divdiff
-        multiply, box_reducer = oracle.multiply, oracle._box_reducer
+        multiply, box_reducer = oracle._multiply_packed, oracle._box_reducer
         code_to_perm = permutations.code_to_perm
         counts, cache = self.counts, oracle._SCHUBERT_CACHE
 
@@ -95,7 +95,7 @@ class Counter:
 
         def count_multiply(p, q):
             product = multiply(p, q)
-            counts["product_terms"] += len(product.coeffs)
+            counts["product_terms"] += len(product)
             return product
 
         def count_box_leader(c):  # the greedy names each S_w it subtracts
@@ -108,7 +108,7 @@ class Counter:
 
         self._patch(oracle, "_schubert_coeffs", count_schubert)
         self._patch(oracle, "_divdiff", count_divdiff)
-        self._patch(oracle, "multiply", count_multiply)
+        self._patch(oracle, "_multiply_packed", count_multiply)
         self._patch(oracle, "_box_reducer", count_ideal_step)
         self._patch(permutations, "code_to_perm", count_box_leader)
 
