@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable, Union
 
-from .guards import CLAN_GUARD_ENV, DEFAULT_CLAN_GUARD, check_guard, resolve_guard
+from .guards import DEFAULT_CLAN_GUARD, check_guard
 
 PLUS = "+"
 MINUS = "-"
@@ -256,8 +256,7 @@ def enumerate_clans(p: int, q: int, guard: int | None = None) -> list[Clan]:
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError("need p, q >= 0 with p + q >= 1")
     n = p + q
-    limit = resolve_guard(guard, CLAN_GUARD_ENV, DEFAULT_CLAN_GUARD)
-    check_guard(n, limit, f"enumeration of ({p},{q})-clans")
+    check_guard(n, guard, DEFAULT_CLAN_GUARD, f"enumeration of ({p},{q})-clans")
 
     out: list[Clan] = []
     symbols: list[Symbol] = []
@@ -265,11 +264,7 @@ def enumerate_clans(p: int, q: int, guard: int | None = None) -> list[Clan]:
 
     def fill(pos: int, plus_used: int, minus_used: int, opened: int) -> None:
         if pos == n:
-            if not open_labels and plus_used + opened == p:
-                out.append(tuple(symbols))
-            return
-        remaining = n - pos
-        if len(open_labels) > remaining:
+            out.append(tuple(symbols))
             return
         if plus_used + opened < p:
             symbols.append(PLUS)

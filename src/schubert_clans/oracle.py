@@ -186,12 +186,11 @@ class MultiPoly:
 def multiply(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Exact product; arities must agree.
 
-    The same as ``p * q``, but faster when every exponent of the product
-    fits a byte: the product is then taken on packed monomials.
+    The same as ``p * q``, taken on packed monomials, so the product's
+    degree must stay below 256, the most a packed exponent holds.
     """
     p._check_arity(q)
-    if max(map(sum, p.coeffs), default=0) + max(map(sum, q.coeffs), default=0) > 255:
-        return p * q
+    _require_byte_degree(max(map(sum, p.coeffs), default=0) + max(map(sum, q.coeffs), default=0))
     return MultiPoly._raw(p.arity, _unpack(_multiply_packed(_pack_coeffs(p), _pack_coeffs(q)), p.arity))
 
 
@@ -298,8 +297,7 @@ def schubert_poly(w: Perm, m: int) -> MultiPoly:
     gives the same polynomial, so trailing fixed points of w are irrelevant.
     Raises ValueError when m is too small.
     """
-    if not permutations.is_perm(w):
-        raise ValueError(f"{w} is not a permutation")
+    permutations.require_perm("w", w)
     wt = permutations.trim(w)
     needed = _last_descent(wt)
     if m < needed:
@@ -372,7 +370,7 @@ def expand_schubert(p: MultiPoly, degree: int | None = None) -> dict[Perm, int]:
 def _require_byte_degree(degree: int) -> None:
     """Raise unless a polynomial of this degree fits packed monomials."""
     if degree > 255:
-        raise ValueError("expand_schubert takes polynomials of degree at most 255")
+        raise ValueError(f"packed monomials hold degree at most 255, not {degree}")
 
 
 def _expand_packed(work: dict[int, int], m: int, degree: int | None) -> dict[Perm, int]:
@@ -453,9 +451,8 @@ def oracle_product(x: Perm, y: Perm, degree: int | None = None) -> dict[Perm, in
     n = max(len(x), len(y)) if degree is None else degree
     xs = permutations.pad(x, n)
     ys = permutations.pad(y, n)
-    for w in (xs, ys):
-        if not permutations.is_perm(w):
-            raise ValueError(f"{w} is not a permutation")
+    permutations.require_perm("x", xs)
+    permutations.require_perm("y", ys)
     if degree is not None and not permutations.bruhat_leq(xs, tuple(n + 1 - v for v in ys)):
         return {}
     # deg(S_x . S_y) = l(x) + l(y) <= n(n - 1), so only n >= 17 can pass a byte

@@ -15,7 +15,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterable, Sequence
 
-from .guards import DEFAULT_PERM_GUARD, PERM_GUARD_ENV, check_guard, resolve_guard
+from .guards import DEFAULT_PERM_GUARD, check_guard
 
 Perm = tuple[int, ...]
 
@@ -194,8 +194,7 @@ def enumerate_by_length(n: int, k: int, guard: int | None = None) -> list[Perm]:
     Walks Lehmer codes (c_1, ..., c_n) with 0 <= c_i <= n-i summing to k;
     code order and one-line order agree, so no sort is needed.
     """
-    limit = resolve_guard(guard, PERM_GUARD_ENV, DEFAULT_PERM_GUARD)
-    check_guard(n, limit, f"enumerate_by_length over S_{n}")
+    check_guard(n, guard, DEFAULT_PERM_GUARD, f"enumerate_by_length over S_{n}")
     if k < 0 or k > n * (n - 1) // 2:
         return []
 

@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 from . import clans, permutations
 from .clans import MINUS, PLUS, Clan
-from .guards import DEFAULT_PERM_GUARD, PERM_GUARD_ENV, check_guard, resolve_guard
+from .guards import DEFAULT_PERM_GUARD, check_guard
 from .permutations import Perm
 
 
@@ -245,8 +245,7 @@ def w_set(gamma: Clan, guard: int | None = None) -> list[Perm]:
     """
     p, q = clans.signature(gamma)
     n = p + q
-    limit = resolve_guard(guard, PERM_GUARD_ENV, DEFAULT_PERM_GUARD)
-    check_guard(n, limit, f"w_set over S_{n}")
+    check_guard(n, guard, DEFAULT_PERM_GUARD, f"w_set over S_{n}")
     got = _descend(gamma, clans.dense_clan(p, q), n)
     if w_set_table_size() > W_SET_TABLE_MAX_PERMS:
         clear_w_set_table()

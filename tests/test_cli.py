@@ -57,14 +57,6 @@ def test_product_perm_guard_exits_2(capsys):
     assert "guard" in err
 
 
-def test_product_bad_perm_guard_variable_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("SCHUBERT_CLANS_PERM_GUARD", "ten")
-    code, out, err = run_cli(capsys, "product", "--x", "31425", "--y", "14253", "--p", "3")
-    assert code == 2
-    assert out == ""
-    assert "SCHUBERT_CLANS_PERM_GUARD" in err
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -73,6 +65,7 @@ def test_product_bad_perm_guard_variable_exits_2(capsys, monkeypatch):
         ("graph", "--p", "1", "--q", "1", "--perm-guard", "5"),
         ("verify", "--n", "3", "--format", "json"),
         ("table1", "--format", "json"),
+        ("verify", "--n", "3", "--perm-guard", "5"),
     ],
 )
 def test_options_a_subcommand_does_not_read_are_refused(capsys, argv):
@@ -233,6 +226,15 @@ def test_verify_max_cases(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "4", "--max-cases", "5")
     assert code == 0
     assert json.loads(out)["output"]["pairs_checked"] == 5
+
+
+def test_verify_max_cases_on_a_p_boundary(capsys):
+    # n = 4 has 10 admissible pairs with p = 1, so a cap of 10 never reaches p = 2
+    code, out, _ = run_cli(capsys, "verify", "--n", "4", "--max-cases", "10")
+    assert code == 0
+    assert json.loads(out)["output"]["pairs_by_p"] == {"1": 10}
+    _, out, _ = run_cli(capsys, "verify", "--n", "4", "--max-cases", "11")
+    assert json.loads(out)["output"]["pairs_by_p"] == {"1": 10, "2": 1}
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -74,9 +74,11 @@ def test_multiply_arity_agreement(p, q):
 
 
 def test_multiply_beyond_a_byte():
-    # exponents above 255 do not fit the packed product and take p * q
+    # exponents above 255 do not fit the packed product; p * q still takes them
     p, q = MultiPoly(2, {(200, 1): 1}), MultiPoly(2, {(100, 0): 2, (0, 3): 1})
-    assert O.multiply(p, q).coeffs == {(300, 1): 2, (200, 4): 1}
+    with pytest.raises(ValueError, match="degree at most 255"):
+        O.multiply(p, q)
+    assert (p * q).coeffs == {(300, 1): 2, (200, 4): 1}
 
 
 # divided differences
@@ -238,8 +240,11 @@ def test_oracle_product_past_a_packed_exponent():
     # raises what expand_schubert raises on that product
     w0 = P.longest(17)
     message = "degree at most 255"
+    s_w0 = O.schubert_poly(w0, 17)
     with pytest.raises(ValueError, match=message):
-        O.expand_schubert(O.multiply(O.schubert_poly(w0, 17), O.schubert_poly(w0, 17)))
+        O.expand_schubert(s_w0 * s_w0)
+    with pytest.raises(ValueError, match=message):
+        O.multiply(s_w0, s_w0)
     with pytest.raises(ValueError, match=message):
         O.oracle_product(w0, w0)
     # x is not below w0 y = identity, so the degree path cuts first
@@ -315,6 +320,16 @@ def test_oracle_product_mixed_degrees():
         O.oracle_product((2, 1), (2, 1, 3), 2)
     with pytest.raises(ValueError):
         O.oracle_product((3, 3, 1), (2, 1, 3), 3)
+
+
+def test_non_permutations_are_named():
+    # the same message as the rest of the package: argument name, one-line text
+    with pytest.raises(ValueError, match="x = 331 is not a permutation of 1..3"):
+        O.oracle_product((3, 3, 1), (2, 1, 3), 3)
+    with pytest.raises(ValueError, match="y = 1134 is not a permutation"):
+        O.oracle_product((2, 1), (1, 1, 3, 4))
+    with pytest.raises(ValueError, match="w = 122 is not a permutation"):
+        O.schubert_poly((1, 2, 2), 3)
 
 
 def test_oracle_product_matches_reference_s1_to_s5():

@@ -45,6 +45,25 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_environment_reads():
+    # every setting is an argument or a CLI option, so no result depends on
+    # the shell the package runs in
+    found = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0]] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name in ("os", "environ", "getenv")]
+    assert found == []
+
+
 def test_traced_names_exist():
     # the benchmark tracer wraps these by name; deleting one breaks the
     # traced run, so it must fail here first
