@@ -6,6 +6,11 @@ Every subcommand prints a single machine-readable JSON report to stdout
 and a one-line timing note to stderr.  The only exception is
 ``graph --format dot``, whose stdout is the DOT text itself.
 
+:func:`_report` writes every report: ``command``, the options under
+``inputs``, the handler's ``output`` and a ``verdict`` where a check runs.
+An option added to a subparser is echoed under ``inputs`` unless
+``_NOT_ECHOED`` lists it.
+
 Exit status: 0 on success, 1 when a verification or golden-data comparison
 fails, 2 on bad input or an exceeded guard.
 """
@@ -24,10 +29,33 @@ from . import clans, oracle, permutations, richardson, weak_order
 from .guards import GuardError
 
 _TABLE_RESOURCE = "data/table1.json"
+# parsed arguments left out of "inputs": the subcommand, its handler, the
+# format, and the guards, which decide whether a call runs, not its output
+_NOT_ECHOED = ("subcommand", "handler", "format", "perm_guard", "clan_guard")
 
 
-def _report(doc: dict) -> str:
+def _dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _report(args, output, **rest) -> str:
+    inputs = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+    return _dumps({"command": args.subcommand, "inputs": inputs, "output": output, **rest})
+
+
+def _expansion_json(x, y, p, expansion) -> dict:
+    """The wire form of an expansion: terms sorted by one-line notation."""
+    doc = {
+        "x": permutations.format_perm(x),
+        "y": permutations.format_perm(y),
+        "terms": [
+            {"w": permutations.format_perm(w), "coeff": expansion[w]}
+            for w in sorted(expansion)
+        ],
+    }
+    if p is not None:
+        doc["p"] = p
+    return doc
 
 
 def _expansion_text(x, y, expansion) -> str:
@@ -46,27 +74,23 @@ def cmd_product(args) -> tuple[str, int]:
     x = permutations.parse_perm(args.x)
     y = permutations.parse_perm(args.y)
     expansion = richardson.special_product(x, y, args.p, guard=args.perm_guard)
-    doc = {
-        "command": "product",
-        "inputs": {"p": args.p, "verify": bool(args.verify), "x": args.x, "y": args.y},
-        "output": richardson.expansion_json_dict(x, y, args.p, expansion),
-    }
+    checked = {}
     status = 0
     if args.verify:
         n = len(x)
         reference = oracle.oracle_product(x, y, n)
         if reference == expansion:
-            doc["verdict"] = "match"
+            checked["verdict"] = "match"
         else:
-            doc["verdict"] = "mismatch"
-            doc["oracle"] = richardson.expansion_json_dict(x, y, args.p, reference)
+            checked["verdict"] = "mismatch"
+            checked["oracle"] = _expansion_json(x, y, args.p, reference)
             status = 1
     if args.format == "text":
         text = _expansion_text(x, y, expansion)
         if args.verify:
-            text += f"oracle: {doc['verdict']}\n"
+            text += f"oracle: {checked['verdict']}\n"
         return text, status
-    return _report(doc), status
+    return _report(args, _expansion_json(x, y, args.p, expansion), **checked), status
 
 
 def cmd_oracle_product(args) -> tuple[str, int]:
@@ -74,75 +98,52 @@ def cmd_oracle_product(args) -> tuple[str, int]:
     y = permutations.parse_perm(args.y)
     n = max(len(x), len(y))
     expansion = oracle.oracle_product(x, y, None if args.all_terms else n)
-    doc = {
-        "command": "oracle-product",
-        "inputs": {"all_terms": bool(args.all_terms), "x": args.x, "y": args.y},
-        "output": richardson.expansion_json_dict(x, y, None, expansion),
-    }
     if args.format == "text":
         return _expansion_text(x, y, expansion), 0
-    return _report(doc), 0
+    return _report(args, _expansion_json(x, y, None, expansion)), 0
 
 
 def cmd_clan_of(args) -> tuple[str, int]:
     u = permutations.parse_perm(args.u)
     v = permutations.parse_perm(args.v)
     gamma = richardson.clan_of_pair(u, v, args.p)
-    doc = {
-        "command": "clan-of",
-        "inputs": {"p": args.p, "u": args.u, "v": args.v},
-        "output": {"clan": clans.format_clan(gamma)},
-    }
     if args.format == "text":
         return clans.format_clan(gamma) + "\n", 0
-    return _report(doc), 0
+    return _report(args, {"clan": clans.format_clan(gamma)}), 0
 
 
 def cmd_pair_of(args) -> tuple[str, int]:
     gamma = clans.parse_clan(args.clan)
     u, v = richardson.pair_of_clan(gamma)
     p, q = clans.signature(gamma)
-    doc = {
-        "command": "pair-of",
-        "inputs": {"clan": args.clan},
-        "output": {
-            "clan": clans.format_clan(gamma),
-            "p": p,
-            "q": q,
-            "u": permutations.format_perm(u),
-            "v": permutations.format_perm(v),
-        },
-    }
     if args.format == "text":
         return f"u = {permutations.format_perm(u)}, v = {permutations.format_perm(v)}\n", 0
-    return _report(doc), 0
+    output = {
+        "clan": clans.format_clan(gamma),
+        "p": p,
+        "q": q,
+        "u": permutations.format_perm(u),
+        "v": permutations.format_perm(v),
+    }
+    return _report(args, output), 0
 
 
 def cmd_graph(args) -> tuple[str, int]:
     graph = weak_order.weak_order_graph(args.p, args.q, guard=args.clan_guard)
     if args.format == "dot":
         return weak_order.graph_dot(graph), 0
-    doc = {
-        "command": "graph",
-        "inputs": {"p": args.p, "q": args.q},
-        "output": weak_order.graph_json_dict(graph),
-    }
-    return _report(doc), 0
+    return _report(args, weak_order.graph_json_dict(graph)), 0
 
 
 def cmd_clans(args) -> tuple[str, int]:
     listing = clans.enumerate_clans(args.p, args.q, guard=args.clan_guard)
     if args.format == "text":
         return "".join(clans.format_clan(g) + "\n" for g in listing), 0
-    doc = {
-        "command": "clans",
-        "inputs": {"p": args.p, "q": args.q},
-        "output": {
-            "clans": [clans.format_clan(g) for g in listing],
-            "count": len(listing),
-        },
+    output = {
+        "clans": [clans.format_clan(g) for g in listing],
+        "count": len(listing),
     }
-    return _report(doc), 0
+    return _report(args, output), 0
 
 
 def cmd_verify(args) -> tuple[str, int]:
@@ -169,17 +170,12 @@ def cmd_verify(args) -> tuple[str, int]:
                 }
             )
         by_p[str(p)] = by_p.get(str(p), 0) + 1
-    doc = {
-        "command": "verify",
-        "inputs": {"max_cases": args.max_cases, "n": n},
-        "output": {
-            "mismatches": mismatches,
-            "pairs_by_p": by_p,
-            "pairs_checked": sum(by_p.values()),
-        },
-        "verdict": "pass" if not mismatches else "fail",
+    output = {
+        "mismatches": mismatches,
+        "pairs_by_p": by_p,
+        "pairs_checked": sum(by_p.values()),
     }
-    return _report(doc), 0 if not mismatches else 1
+    return _report(args, output, verdict="fail" if mismatches else "pass"), 1 if mismatches else 0
 
 
 def cmd_table1(args) -> tuple[str, int]:
@@ -215,26 +211,20 @@ def cmd_table1(args) -> tuple[str, int]:
         "start_clan": clans.format_clan(start),
         "rows": rows,
     }
-    regenerated_bytes = _report(regenerated).encode()
-    match = regenerated_bytes == golden_bytes
+    match = _dumps(regenerated).encode() == golden_bytes
 
     diffs = []
     if not match:
         for i, (got, want) in enumerate(zip(rows, golden["rows"])):
             if got != want:
                 diffs.append({"row": i, "got": got, "want": want})
-    doc = {
-        "command": "table1",
-        "inputs": {},
-        "output": {
-            "bytes_match": match,
-            "diffs": diffs,
-            "rows": len(rows),
-            "start_clan": clans.format_clan(start),
-        },
-        "verdict": "pass" if match else "fail",
+    output = {
+        "bytes_match": match,
+        "diffs": diffs,
+        "rows": len(rows),
+        "start_clan": clans.format_clan(start),
     }
-    return _report(doc), 0 if match else 1
+    return _report(args, output, verdict="pass" if match else "fail"), 0 if match else 1
 
 
 @functools.cache

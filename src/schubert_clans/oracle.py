@@ -266,20 +266,24 @@ def schubert_cache_size() -> int:
 
 def _schubert_coeffs(w: Perm) -> dict[int, int]:
     """Packed coefficients of S_w for trimmed w; the caller must not mutate
-    them.  Recursion: peel the first ascent i via S_w = d_i S_{w s_i},
-    bottoming out at the staircase monomial for w0 of S_len(w)."""
+    them.  S_w = d_i S_{w s_i} for the first ascent i, so walk up by first
+    ascents to a cached S_v or to w0 of S_len(w), whose S is the staircase
+    monomial, then apply the divided differences back down, caching every
+    step.  A loop, since the walk takes l(w0) - l(w) steps."""
     cached = _SCHUBERT_CACHE.get(w)
     if cached is not None:
         return cached
-    d = len(w)
-    ascent = next((i for i in range(d - 1) if w[i] < w[i + 1]), None)
-    if ascent is None:
-        result = {_pack(range(d - 1, -1, -1)): 1}
-    else:
-        up = list(w)
-        up[ascent], up[ascent + 1] = up[ascent + 1], up[ascent]
-        result = _divdiff(_schubert_coeffs(tuple(up)), ascent)
-    _SCHUBERT_CACHE[w] = result
+    d, path, result = len(w), [], None
+    while result is None:
+        ascent = next((i for i in range(d - 1) if w[i] < w[i + 1]), None)
+        if ascent is None:
+            result = _SCHUBERT_CACHE[w] = {_pack(range(d - 1, -1, -1)): 1}
+        else:
+            path.append((w, ascent))
+            w = w[:ascent] + (w[ascent + 1], w[ascent]) + w[ascent + 2:]
+            result = _SCHUBERT_CACHE.get(w)
+    for w, ascent in reversed(path):
+        result = _SCHUBERT_CACHE[w] = _divdiff(result, ascent)
     return result
 
 

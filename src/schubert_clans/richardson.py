@@ -257,18 +257,3 @@ def admissible_pairs(n: int, p: int) -> Iterator[tuple[Perm, Perm]]:
         for v in ascending_shuffles(n, p):
             if _first_failing_prefix(u, v, p) is None:
                 yield u, v
-
-
-def expansion_json_dict(x: Perm, y: Perm, p: int | None, expansion: dict[Perm, int]) -> dict:
-    """The wire form of an expansion: terms sorted by one-line notation."""
-    doc = {
-        "x": permutations.format_perm(x),
-        "y": permutations.format_perm(y),
-        "terms": [
-            {"w": permutations.format_perm(w), "coeff": expansion[w]}
-            for w in sorted(expansion)
-        ],
-    }
-    if p is not None:
-        doc["p"] = p
-    return doc

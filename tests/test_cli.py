@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from schubert_clans import cli
+from schubert_clans import cli, oracle, richardson, weak_order
 
 
 def run_cli(capsys, *argv):
@@ -24,6 +24,15 @@ def test_product_json(capsys):
     assert len(doc["output"]["terms"]) == 8
     assert all(t["coeff"] == 1 for t in doc["output"]["terms"])
     assert "product:" in err  # timing goes to stderr only
+
+
+def test_expansion_json_shape():
+    x, y = (3, 1, 4, 2, 5), (1, 4, 2, 5, 3)
+    doc = cli._expansion_json(x, y, 3, richardson.special_product(x, y, 3))
+    assert doc["x"] == "31425" and doc["y"] == "14253" and doc["p"] == 3
+    ws = [t["w"] for t in doc["terms"]]
+    assert ws == sorted(ws)
+    assert all(t["coeff"] == 1 for t in doc["terms"])
 
 
 def test_product_without_verify_has_no_verdict(capsys):
@@ -193,6 +202,88 @@ def test_graph_export_bytes_pinned(capsys):
         code, out, _ = run_cli(capsys, "graph", "--p", "3", "--q", "3", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+# sha256 of the JSON report of one call per subcommand and option.  The
+# report echoes every option except --format and the guards under
+# "inputs", so a guard leaves the bytes as they are, and a new option
+# changes them unless cli._NOT_ECHOED lists it.
+REPORT_DIGESTS = {
+    ("product", "--x", "31425", "--y", "14253", "--p", "3"):
+        "49347dddc40edb7838c7350a0faf844ad58b267caf8cd24e1ca7caca3580ed16",
+    ("product", "--x", "31425", "--y", "14253", "--p", "3", "--perm-guard", "10"):
+        "49347dddc40edb7838c7350a0faf844ad58b267caf8cd24e1ca7caca3580ed16",
+    ("product", "--x", "31425", "--y", "14253", "--p", "3", "--verify"):
+        "88d2dfd9975b9dd3951a0dedb6df39917c085e084f53e30b75ee214941e426ba",
+    ("oracle-product", "--x", "2143", "--y", "1342"):
+        "679008af4fe0ffa99bb7f06c6780b95da02d76c6dfd2d400244e4221960dfbdd",
+    ("oracle-product", "--x", "2143", "--y", "1342", "--all-terms"):
+        "e1ac33117ad2f574502fb7984858454e8cc02dddae7ac13b4e730c2786f1c42e",
+    ("pair-of", "--clan", "(+,-,1,2,2,1)"):
+        "f1c25d531c1e4e0aa0ac21c2d6878c0a6b50c72cb9c20be4249b437f16212ba3",
+    ("clans", "--p", "1", "--q", "2"):
+        "3cf6d31e5b17142c0dda92eb81a099247f09762df5e94f0db00ea55f2101b0d0",
+    ("clans", "--p", "2", "--q", "2", "--clan-guard", "12"):
+        "7545ef472a87da365623eb1490a19bc54625806bde090375f9c92a0f8cfc0f0e",
+    ("verify", "--n", "4"):
+        "3689762bb4ff518fe611517fb6d2a54ea47188ae02fe8d7fdac196c9c19a913e",
+    ("verify", "--n", "4", "--max-cases", "3"):
+        "e31313fa0f596d8d9c5b6f032c4858c85444ff60d41daf86f8821df5f3019d1d",
+    ("table1",):
+        "2c260a0fa4ddc8e1473296908816b2987e593917f979d1b8debb3052e5122934",
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=" ".join)
+def test_json_report_bytes_pinned(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
+
+
+def test_clan_of_report_literal(capsys):
+    code, out, _ = run_cli(capsys, "clan-of", "--u", "365421", "--v", "142356", "--p", "3")
+    assert code == 0
+    assert out == (
+        '{\n  "command": "clan-of",\n  "inputs": {\n    "p": 3,\n    "u": "365421",\n'
+        '    "v": "142356"\n  },\n  "output": {\n    "clan": "(+,-,1,2,2,1)"\n  }\n}\n'
+    )
+
+
+def test_product_verify_mismatch_report(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "oracle_product", lambda *args: {})
+    argv = ("product", "--x", "31425", "--y", "14253", "--p", "3", "--verify")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "mismatch"
+    assert doc["oracle"] == {"p": 3, "terms": [], "x": "31425", "y": "14253"}
+    assert len(doc["output"]["terms"]) == 8
+    code, out, _ = run_cli(capsys, *argv, "--format", "text")
+    assert code == 1
+    assert out.endswith("\noracle: mismatch\n")
+
+
+def test_verify_failure_report(capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "oracle_product", lambda *args: {})
+    code, out, _ = run_cli(capsys, "verify", "--n", "3")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "fail"
+    mismatches = doc["output"]["mismatches"]
+    assert len(mismatches) == doc["output"]["pairs_checked"] > 0
+    assert len({(m["p"], m["u"], m["v"]) for m in mismatches}) == len(mismatches)
+
+
+def test_table1_failure_report(capsys, monkeypatch):
+    monkeypatch.setattr(weak_order, "act_word", lambda word, start: start)
+    code, out, _ = run_cli(capsys, "table1")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "fail"
+    assert doc["output"]["bytes_match"] is False
+    assert doc["output"]["diffs"]
+    assert all(d["got"]["clan"] == "(+,-,+,-,+)" for d in doc["output"]["diffs"])
 
 
 def test_graph_guard(capsys):

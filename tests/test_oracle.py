@@ -251,6 +251,15 @@ def test_oracle_product_past_a_packed_exponent():
     assert O.oracle_product(w0, w0, 17) == {}
 
 
+def test_oracle_product_on_a_long_walk_to_w0():
+    # S_w is built from S_w0 by l(w0) - l(w) = 1224 divided differences
+    # here, far past Python's default recursion limit of 1000
+    w = tuple(range(1, 49)) + (50, 49)
+    O.clear_schubert_cache()
+    assert O.oracle_product(w, (1,)) == {w: 1}
+    assert O.schubert_cache_size() == 1226
+
+
 def h_poly(d, k, n):
     """h_d(x_1..x_k) in n variables, by its definition."""
     return MultiPoly(n, {
@@ -489,7 +498,8 @@ def test_bench_oracle_counts_small_cases():
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
     cases = json.loads(bench.BENCH_FILE.read_text())["cases"]
-    originals = (O._multiply_packed, O._divdiff, O._schubert_coeffs, O._box_reducer, P.code_to_perm)
+    originals = (O._multiply_packed, O._divdiff, O._schubert_coeffs, O._pack, O._box_reducer,
+                 P.code_to_perm)
     small = [c for c in cases if c["name"] in ("alternating n=8", "heavy S_8 pairs")
              or (c["name"], c["mode"]) == ("empty S_8 products", "restricted")]
     assert len(small) == 5
@@ -498,4 +508,5 @@ def test_bench_oracle_counts_small_cases():
         counts, _ = bench.run_case(make(), n if case["mode"] == "restricted" else None)
         assert counts == case["counts"], case["name"]
     # the counter puts the oracle's own functions back
-    assert (O._multiply_packed, O._divdiff, O._schubert_coeffs, O._box_reducer, P.code_to_perm) == originals
+    assert (O._multiply_packed, O._divdiff, O._schubert_coeffs, O._pack, O._box_reducer,
+            P.code_to_perm) == originals

@@ -247,7 +247,7 @@ def test_alternating_product_n9_matches_oracle():
     assert fast == O.restrict_to_degree(O.oracle_product(x, v), 9)
 
 
-# enumeration helpers and the wire format
+# enumeration helpers
 
 def test_shuffle_listings():
     assert R.descending_shuffles(2, 1) == [(1, 2), (2, 1)]
@@ -255,12 +255,3 @@ def test_shuffle_listings():
     assert len(R.descending_shuffles(5, 3)) == 10
     assert all(P.is_descending_shuffle(u, 3) for u in R.descending_shuffles(5, 3))
     assert all(P.is_ascending_shuffle(v, 2) for v in R.ascending_shuffles(5, 2))
-
-
-def test_expansion_json_shape():
-    x, y = (3, 1, 4, 2, 5), (1, 4, 2, 5, 3)
-    doc = R.expansion_json_dict(x, y, 3, R.special_product(x, y, 3))
-    assert doc["x"] == "31425" and doc["y"] == "14253" and doc["p"] == 3
-    ws = [t["w"] for t in doc["terms"]]
-    assert ws == sorted(ws)
-    assert all(t["coeff"] == 1 for t in doc["terms"])

@@ -8,7 +8,8 @@ restricted to S_n (the degree-n path every clan-rule comparison takes) or
 with all terms, from an empty Schubert polynomial cache.  The counts do
 not depend on the machine:
 
-* schubert_built -- Schubert polynomials computed, one per cache miss;
+* schubert_built -- Schubert polynomials computed: one staircase monomial
+  or one divided difference each;
 * divided_differences -- divided-difference steps run to build them;
 * product_terms -- monomials in the products S_x . S_y;
 * cancellations -- leaders the greedy expansion cancelled, by an S_w or by
@@ -80,16 +81,17 @@ class Counter:
     def __init__(self):
         self.counts = dict.fromkeys(COUNTS, 0)
         self._saved = []
-        schubert_coeffs, divdiff = oracle._schubert_coeffs, oracle._divdiff
+        pack, divdiff = oracle._pack, oracle._divdiff
         multiply, box_reducer = oracle._multiply_packed, oracle._box_reducer
         code_to_perm = permutations.code_to_perm
-        counts, cache = self.counts, oracle._SCHUBERT_CACHE
+        counts = self.counts
 
-        def count_schubert(w):
-            counts["schubert_built"] += w not in cache
-            return schubert_coeffs(w)
+        def count_staircase(exps):  # oracle_product packs only staircases
+            counts["schubert_built"] += 1
+            return pack(exps)
 
         def count_divdiff(coeffs, k):
+            counts["schubert_built"] += 1
             counts["divided_differences"] += 1
             return divdiff(coeffs, k)
 
@@ -106,7 +108,7 @@ class Counter:
             counts["cancellations"] += 1
             return box_reducer(k, n)
 
-        self._patch(oracle, "_schubert_coeffs", count_schubert)
+        self._patch(oracle, "_pack", count_staircase)
         self._patch(oracle, "_divdiff", count_divdiff)
         self._patch(oracle, "_multiply_packed", count_multiply)
         self._patch(oracle, "_box_reducer", count_ideal_step)
