@@ -105,7 +105,7 @@ def parse_clan(text: str, p: int | None = None, q: int | None = None) -> Clan:
             symbols.append(tok)
         elif tok in ("−", "–"):  # unicode minus / en-dash
             symbols.append(MINUS)
-        elif tok.isdigit() and int(tok) >= 1:
+        elif tok.isdecimal() and int(tok) >= 1:
             symbols.append(int(tok))
         else:
             raise ValueError(f"bad clan token {tok!r} in {text!r}")

@@ -32,6 +32,12 @@ def test_parse_errors():
         C.parse_clan("(a,b)")
     with pytest.raises(ValueError):
         C.parse_clan("")
+    # digits to str.isdigit that int() refuses are bad tokens, named as such
+    for tok in ("²", "①"):
+        with pytest.raises(ValueError, match=f"bad clan token '{tok}'"):
+            C.parse_clan(f"({tok},{tok})")
+    # a decimal digit of another script is one int() reads
+    assert C.parse_clan("(١,١)") == (1, 1)
 
 
 def test_parse_idempotent_on_output():

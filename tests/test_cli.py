@@ -127,6 +127,29 @@ def test_product_bad_p_exits_2(capsys):
             "u = 35241 is not a descending shuffle at p = 2: the values <= 2 and the "
             "values > 2 must each appear in descending order",
         ),
+        (
+            ("clan-of", "--u", "52143", "--v", "13425", "--p", "2"),
+            "u = 52143 is not >= v = 13425: at prefix i = 3 there are 1 positions with "
+            "u > 2 >= v but 2 with v > 2 >= u; the pair names an empty Richardson variety, "
+            "so the clan rule does not apply (use the polynomial oracle for the general product)",
+        ),
+        (
+            # u = w0 x = 12 sits below v = 21 from the first position on
+            ("product", "--x", "21", "--y", "21", "--p", "1"),
+            "u = 12 is not >= v = 21: at prefix i = 1 there are 0 positions with "
+            "u > 1 >= v but 1 with v > 1 >= u; the pair names an empty Richardson variety, "
+            "so the clan rule does not apply (use the polynomial oracle for the general product)",
+        ),
+        (
+            ("pair-of", "--clan", "(1,2,1,2)"),
+            "clan (1,2,1,2) contains the interleaved pattern (1,2,1,2) and is not the "
+            "clan of any Richardson pair",
+        ),
+        (
+            # a superscript two is a digit to str.isdigit but not to int()
+            ("pair-of", "--clan", "²"),
+            "bad clan token '²' in '²'",
+        ),
     ],
 )
 def test_shuffle_errors_name_the_typed_permutation(capsys, argv, message):

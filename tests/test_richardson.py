@@ -61,21 +61,30 @@ def test_clan_of_pair_incomparable():
 
 
 def test_lazy_and_eager_failure_agree():
-    # the symbol walk underflows its stack exactly when the prefix test fails
+    # the symbol walk underflows its stack exactly when the prefix test
+    # fails, and clan_of_pair names the prefix where it does
     for n in (3, 4, 5):
         for p in range(n + 1):
             for u, v in shuffle_pairs(n, p):
-                opens = 0
-                underflow = False
-                for uj, vj in zip(u, v):
+                first = second = 0
+                underflow = None
+                for i, (uj, vj) in enumerate(zip(u, v), start=1):
                     if uj > p and vj <= p:
-                        opens += 1
+                        first += 1
                     elif uj <= p and vj > p:
-                        opens -= 1
-                        if opens < 0:
-                            underflow = True
+                        second += 1
+                        if first < second:
+                            underflow = i
                             break
-                assert R.shuffles_comparable(u, v, p) == (not underflow)
+                assert R.shuffles_comparable(u, v, p) == (underflow is None)
+                if underflow is None:
+                    continue
+                with pytest.raises(R.IncomparableError) as err:
+                    R.clan_of_pair(u, v, p)
+                assert (
+                    f"at prefix i = {underflow} there are {first} positions with u > {p} >= v "
+                    f"but {second} with v > {p} >= u;"
+                ) in str(err.value)
 
 
 def test_clan_of_pair_avoids_1212():

@@ -1,7 +1,7 @@
 import random
 import sys
 import threading
-from math import prod
+from math import comb, prod
 
 import pytest
 
@@ -293,6 +293,17 @@ def test_w_set_table_clear_and_size():
     W.clear_w_set_table()
     assert W.w_set_table_size() == 0
     assert len(W.w_set(gamma)) == 105
+
+
+@pytest.mark.parametrize("total", range(1, 13))
+def test_w_set_of_a_sign_only_clan_visits_every_clan_above_it(total):
+    # the w-set of +^p -^q is a single permutation, but the descent reaches
+    # it through C(p+q, p) clans and stores one permutation for each
+    for p in range(total + 1):
+        W.clear_w_set_table()
+        gamma = ("+",) * p + ("-",) * (total - p)
+        assert len(W.w_set(gamma, guard=total)) == 1
+        assert W.w_set_table_size() == comb(total, p), (p, total - p)
 
 
 def test_w_set_table_bound(monkeypatch):
