@@ -12,12 +12,14 @@ block Levi GL(p) x GL(q), and each one carries a unique (p,q)-clan:
 * u(i) > p and v(i) <= p  -> open a new pair
 * u(i) <= p and v(i) > p  -> close the most recently opened unmated pair
 
-The LIFO closing rule makes the clan avoid the interleaved (1,2,1,2)
-pattern, and the map is a bijection onto those clans (:func:`pair_of_clan`
-inverts it).  The payoff is the product rule: writing x = w0 u, the
-structure constant of S_w in S_x . S_v is 1 when w of the right length
-drives the clan to the dense clan, and 0 otherwise, so the whole expansion
-is multiplicity-free and :func:`special_product` just returns the w-set.
+One left-to-right walk gives both the comparability test and the clan: a
+shuffle pair has u >= v exactly when every closer finds an open pair.  The
+LIFO closing rule makes the clan avoid the interleaved (1,2,1,2) pattern,
+and the map is a bijection onto those clans (:func:`pair_of_clan` inverts
+it).  The payoff is the product rule: writing x = w0 u, the structure
+constant of S_w in S_x . S_v is 1 when w of the right length drives the
+clan to the dense clan, and 0 otherwise, so the whole expansion is
+multiplicity-free and :func:`special_product` just returns the w-set.
 """
 
 from __future__ import annotations
@@ -76,23 +78,38 @@ def shuffles_comparable(u: Perm, v: Perm, p: int) -> bool:
     With F(i) = #{j <= i : u(j) > p, v(j) <= p} and
     S(i) = #{j <= i : u(j) <= p, v(j) > p}, comparability of a shuffle pair
     is exactly F(i) >= S(i) for every i.  Agrees with the rank-matrix
-    Bruhat test on all admissible pairs.
+    Bruhat test on every shuffle pair; criterion 6 of the acceptance tests
+    checks this through n = 6.
     """
     _require_shuffles(u, v, p)
-    return _first_failing_prefix(u, v, p) is None
+    return _walk(u, v, p)[1] is None
 
 
-def _first_failing_prefix(u: Perm, v: Perm, p: int) -> tuple[int, int, int] | None:
-    """The first i with F(i) < S(i), as (i, F(i), S(i)); None if u >= v."""
-    first = second = 0
-    for i, (uj, vj) in enumerate(zip(u, v), start=1):
-        if uj > p and vj <= p:
-            first += 1
-        elif uj <= p and vj > p:
-            second += 1
-        if first < second:
-            return i, first, second
-    return None
+def _walk(u: Perm, v: Perm, p: int) -> tuple[Clan | None, tuple[int, int, int] | None]:
+    """Read the shuffle pair once, left to right: (clan, None) when u >= v,
+    else (None, (i, F(i), S(i))) at the first closer with no open pair."""
+    symbols: list[clans.Symbol] = []
+    open_stack: list[int] = []
+    opened = 0
+    for uj, vj in zip(u, v):
+        if uj <= p:
+            if vj <= p:
+                symbols.append(PLUS)
+            elif open_stack:
+                # second occurrence: most recent unmated label
+                symbols.append(open_stack.pop())
+            else:
+                return None, (len(symbols) + 1, opened, opened + 1)
+        elif vj <= p:
+            opened += 1
+            symbols.append(opened)
+            open_stack.append(opened)
+        else:
+            symbols.append(MINUS)
+    if open_stack:
+        raise AssertionError(f"the pair walk left a pair open in {clans.format_clan(tuple(symbols))}")
+    # labels were opened in increasing order, so the tuple is canonical
+    return tuple(symbols), None
 
 
 def clan_of_pair(u: Perm, v: Perm, p: int) -> Clan:
@@ -102,7 +119,7 @@ def clan_of_pair(u: Perm, v: Perm, p: int) -> Clan:
     ('+', '-', 1, 2, 2, 1)
     """
     _require_shuffles(u, v, p)
-    failure = _first_failing_prefix(u, v, p)
+    gamma, failure = _walk(u, v, p)
     if failure is not None:
         i, first, second = failure
         raise IncomparableError(
@@ -112,26 +129,7 @@ def clan_of_pair(u: Perm, v: Perm, p: int) -> Clan:
             f"variety, so the clan rule does not apply (use the polynomial oracle "
             f"for the general product)"
         )
-    symbols: list[clans.Symbol] = []
-    open_stack: list[int] = []
-    next_label = 1
-    for uj, vj in zip(u, v):
-        if uj <= p and vj <= p:
-            symbols.append(PLUS)
-        elif uj > p and vj > p:
-            symbols.append(MINUS)
-        elif uj > p:
-            symbols.append(next_label)
-            open_stack.append(next_label)
-            next_label += 1
-        elif open_stack:
-            # second occurrence: most recent unmated label
-            symbols.append(open_stack.pop())
-        else:
-            raise AssertionError("comparability check let an unmatchable closer through")
-    # labels were opened in increasing order, so the tuple is canonical
-    gamma = tuple(symbols)
-    if open_stack or not clans.avoids_1212(gamma):
+    if not clans.avoids_1212(gamma):
         raise AssertionError(f"clan_of_pair built a bad clan {clans.format_clan(gamma)}")
     return gamma
 
@@ -153,30 +151,21 @@ def pair_of_clan(gamma: Clan) -> tuple[Perm, Perm]:
         )
     p, q = clans.signature(gamma)
     n = p + q
-    pairs = clans.pair_positions(gamma)
-    firsts = {first for first, _ in pairs.values()}
-    seconds = {second for _, second in pairs.values()}
-
-    u = [0] * n
-    low, high = p, n  # next values for the two descending runs
-    for pos, s in enumerate(gamma, start=1):
-        if s == PLUS or pos in seconds:
-            u[pos - 1] = low
-            low -= 1
+    # the next value of each run: u descends in both blocks, v ascends
+    u_low, u_high = iter(range(p, 0, -1)), iter(range(n, p, -1))
+    v_low, v_high = iter(range(1, p + 1)), iter(range(p + 1, n + 1))
+    u: list[int] = []
+    v: list[int] = []
+    seen: set[int] = set()
+    for s in gamma:
+        if s == PLUS or s == MINUS:
+            low_in_u = low_in_v = s == PLUS
         else:
-            u[pos - 1] = high
-            high -= 1
-
-    v = [0] * n
-    low, high = 1, p + 1  # next values for the two ascending runs
-    for pos, s in enumerate(gamma, start=1):
-        if s == PLUS or pos in firsts:
-            v[pos - 1] = low
-            low += 1
-        else:
-            v[pos - 1] = high
-            high += 1
-
+            low_in_u = s in seen  # a second occurrence
+            low_in_v = not low_in_u
+            seen.add(s)
+        u.append(next(u_low if low_in_u else u_high))
+        v.append(next(v_low if low_in_v else v_high))
     return tuple(u), tuple(v)
 
 
@@ -240,7 +229,7 @@ def _shuffles(n: int, p: int, descending: bool) -> list[Perm]:
         raise ValueError(f"block size p must lie in 0..{n}")
     low = range(p, 0, -1) if descending else range(1, p + 1)
     high = range(n, p, -1) if descending else range(p + 1, n + 1)
-    out = []
+    out = []  # low values are below high ones, so combinations() order is lexicographic
     for low_positions in combinations(range(n), p):
         w = [0] * n
         low_iter, high_iter = iter(low), iter(high)
@@ -248,12 +237,12 @@ def _shuffles(n: int, p: int, descending: bool) -> list[Perm]:
         for pos in range(n):
             w[pos] = next(low_iter) if pos in low_set else next(high_iter)
         out.append(tuple(w))
-    return sorted(out)
+    return out
 
 
 def admissible_pairs(n: int, p: int) -> Iterator[tuple[Perm, Perm]]:
     """All comparable shuffle pairs (u, v) at p, lexicographically."""
     for u in descending_shuffles(n, p):
         for v in ascending_shuffles(n, p):
-            if _first_failing_prefix(u, v, p) is None:
+            if _walk(u, v, p)[1] is None:
                 yield u, v

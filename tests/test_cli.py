@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -392,3 +394,17 @@ def test_unknown_subcommand_exits_2():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_cli_digest_small_groups_match_the_committed_file():
+    # tools/cli_digest.py --check runs every group; the two quickest must
+    # reproduce CLI_DIGEST.json here too, and a record drops the timing line
+    path = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
+    spec = importlib.util.spec_from_file_location("cli_digest", path)
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    want = json.loads(digest.DIGEST_FILE.read_text())["groups"]
+    for name in ("shuffle pairs n<=4", "graph and clans p+q<=8"):
+        assert digest.digest_group(digest.GROUPS[name]) == want[name], name
+    argv = ("clan-of", "--u", "21", "--v", "12", "--p", "1", "--format", "text")
+    assert digest.run_call(argv) == [list(argv), 0, "(1,1)\n", ""]

@@ -264,3 +264,9 @@ def test_shuffle_listings():
     assert len(R.descending_shuffles(5, 3)) == 10
     assert all(P.is_descending_shuffle(u, 3) for u in R.descending_shuffles(5, 3))
     assert all(P.is_ascending_shuffle(v, 2) for v in R.ascending_shuffles(5, 2))
+    # the listings follow combinations() of the low positions, unsorted
+    for n in range(1, 9):
+        for p in range(n + 1):
+            for listing in (R.descending_shuffles(n, p), R.ascending_shuffles(n, p)):
+                assert listing == sorted(listing)
+                assert len(set(listing)) == len(listing)

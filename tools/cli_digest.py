@@ -2,14 +2,12 @@
 
     python tools/cli_digest.py            # rewrite CLI_DIGEST.json
     python tools/cli_digest.py --check    # exit 1 if a group's digest drifts
-    python tools/cli_digest.py --dump calls.jsonl   # also write every call
 
 Each group runs a fixed list of command lines through ``cli.main`` in this
 process and hashes, call by call, the argument list, the exit status, stdout
 and stderr with the "# <subcommand>: <seconds>s" timing line taken out.  A
 refactor that should not change what the CLI prints, success or error,
-must leave every group's sha256 as it is.  ``--dump`` writes one JSON line
-per call, so two trees' dumps can be diffed to find the call that moved.
+must leave every group's sha256 as it is.
 """
 
 from __future__ import annotations
@@ -46,7 +44,8 @@ def admissible_calls():
             for u, v in richardson.admissible_pairs(n, p):
                 x = permutations.compose(permutations.longest(n), u)
                 for fmt in FORMATS:
-                    yield ("product", "--x", _fmt(x), "--y", _fmt(v), "--p", str(p), "--verify", *fmt)
+                    yield ("product", "--x", _fmt(x), "--y", _fmt(v), "--p", str(p),
+                           "--verify", *fmt)
                     yield ("clan-of", "--u", _fmt(u), "--v", _fmt(v), "--p", str(p), *fmt)
 
 
@@ -117,19 +116,21 @@ def run_call(argv):
     return [list(argv), status, out.getvalue(), TIMING_LINE.sub("", err.getvalue())]
 
 
-def measure(dump=None):
+def digest_group(calls):
+    """{"calls": count, "sha256": hex} over the records of one group."""
+    digest = hashlib.sha256()
+    count = 0
+    for argv in calls():
+        digest.update((json.dumps(run_call(argv)) + "\n").encode())
+        count += 1
+    return {"calls": count, "sha256": digest.hexdigest()}
+
+
+def measure():
     groups = {}
     for name, calls in GROUPS.items():
-        digest = hashlib.sha256()
-        count = 0
-        for argv in calls():
-            record = json.dumps(run_call(argv)) + "\n"
-            digest.update(record.encode())
-            count += 1
-            if dump is not None:
-                dump.write(record)
-        groups[name] = {"calls": count, "sha256": digest.hexdigest()}
-        print(f"{digest.hexdigest()}  {count:5} calls  {name}")
+        groups[name] = digest_group(calls)
+        print(f"{groups[name]['sha256']}  {groups[name]['calls']:5} calls  {name}")
     return groups
 
 
@@ -137,14 +138,12 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
                         help=f"compare the digests with {DIGEST_FILE.name} and exit 1 on drift")
-    parser.add_argument("--dump", type=Path, help="write every call's record to this file, one JSON line each")
     args = parser.parse_args(argv)
-    with contextlib.ExitStack() as stack:
-        dump = None if args.dump is None else stack.enter_context(args.dump.open("w"))
-        groups = measure(dump)
+    groups = measure()
     if args.check:
         want = json.loads(DIGEST_FILE.read_text())["groups"]
-        drift = sorted(name for name in set(want) | set(groups) if want.get(name) != groups.get(name))
+        drift = sorted(name for name in set(want) | set(groups)
+                       if want.get(name) != groups.get(name))
         for name in drift:
             print(f"drift: {name}: {want.get(name)} -> {groups.get(name)}", file=sys.stderr)
         return 1 if drift else 0
