@@ -30,10 +30,7 @@ from schubert_clans import clans, cli, permutations, richardson  # noqa: E402
 DIGEST_FILE = ROOT / "CLI_DIGEST.json"
 TIMING_LINE = re.compile(r"^# [\w-]+: \d+\.\d{3}s\n", re.M)
 FORMATS = ((), ("--format", "text"))
-
-
-def _fmt(w):
-    return permutations.format_perm(w)
+_fmt = permutations.format_perm
 
 
 def admissible_calls():
