@@ -11,6 +11,13 @@ and a one-line timing note to stderr.  The only exception is
 An option added to a subparser is echoed under ``inputs`` unless
 ``_NOT_ECHOED`` lists it.
 
+:func:`_dumps` formats every report, and ``table1``'s golden check.  Its
+bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``, but
+``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set, so
+``_dumps`` walks the containers itself in one pass and hands each string to
+the C escaper ``json.dumps`` uses (``encode_basestring_ascii``), each
+``int`` to ``int.__repr__`` and every other atom to ``json.dumps``.
+
 Exit status: 0 on success, 1 when a verification or golden-data comparison
 fails, 2 on bad input or an exceeded guard.
 """
@@ -24,6 +31,7 @@ import json
 import sys
 import time
 from importlib import resources
+from json.encoder import encode_basestring_ascii
 
 from . import clans, oracle, permutations, richardson, weak_order
 from .guards import GuardError
@@ -34,8 +42,60 @@ _TABLE_RESOURCE = "data/table1.json"
 _NOT_ECHOED = ("subcommand", "handler", "format", "perm_guard", "clan_guard")
 
 
+# The exact types whose JSON text needs no container walk.  Anything else
+# that is not a dict, list or tuple (floats, subclasses, objects json
+# refuses) goes to json.dumps, so its text or error is json's own.
+_ATOMS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    One recursive pass appends to one list, joined once.  Dict keys must be
+    ``str``: any other key raises ``TypeError``.
+    """
+    out = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list) -> None:
+    """Append the JSON text of obj to out; newline is "\\n" plus its indent."""
+    atom = _ATOMS.get(type(obj))
+    if atom is not None:
+        out.append(atom(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead, sep = "{" + inner, "," + inner
+        for key in sorted(obj):
+            out.append(lead)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write(obj[key], inner, out)
+            lead = sep
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        lead, sep = "[" + inner, "," + inner
+        for item in obj:
+            out.append(lead)
+            _write(item, inner, out)
+            lead = sep
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(obj))
 
 
 def _report(args, output, **rest) -> str:

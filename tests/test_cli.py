@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubert_clans import cli, oracle, richardson, weak_order
 
@@ -170,7 +172,8 @@ def test_product_parse_error_exits_2(capsys):
 def test_oracle_product_all_terms(capsys):
     code, out, _ = run_cli(capsys, "oracle-product", "--x", "21", "--y", "21")
     assert code == 0
-    assert json.loads(out)["output"]["terms"] == [{"coeff": 1, "w": "312"}] or json.loads(out)["output"]["terms"] == []
+    # S_21 * S_21 = S_312 lies outside S_2, so the restricted product is 0
+    assert json.loads(out)["output"]["terms"] == []
     code, out, _ = run_cli(capsys, "oracle-product", "--x", "21", "--y", "21", "--all-terms")
     assert code == 0
     assert json.loads(out)["output"]["terms"] == [{"coeff": 1, "w": "312"}]
@@ -227,6 +230,68 @@ def test_graph_export_bytes_pinned(capsys):
         code, out, _ = run_cli(capsys, "graph", "--p", "3", "--q", "3", "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
+def _json_dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# text with every kind of character the escaper treats apart: quotes,
+# backslashes, control characters, non-ASCII and lone surrogates
+_TEXT = st.text(
+    st.characters(exclude_categories=()) | st.sampled_from('"\\/\x00\x1f\x7f\n\t\ud800\udfff')
+)
+_LEAVES = (
+    _TEXT
+    | st.integers()
+    | st.sampled_from([2**64, -(2**64) - 1, 10**30, -1])
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(_TEXT, _DOCS, max_size=5))
+def test_dumps_gives_the_bytes_of_json_dumps(doc):
+    assert cli._dumps(doc) == _json_dumps(doc)
+
+
+def test_dumps_empty_containers_at_depth():
+    doc = {"a": [{}, [], (), {"b": [[], {}]}], "c": {}, "d": []}
+    assert cli._dumps(doc) == _json_dumps(doc)
+    assert cli._dumps({}) == "{}\n"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{1: "int key"}, {"a": {("t",): 1}}, {"a": [{None: 1}]}, {"a": {1, 2}}, {"a": [object()]}],
+    ids=["int key", "tuple key", "None key", "set", "object"],
+)
+def test_dumps_refuses_what_json_cannot_write(doc):
+    # keys must be str, although json.dumps would stringify int and None keys
+    with pytest.raises(TypeError):
+        cli._dumps(doc)
+
+
+def test_largest_graph_report_is_json_dumps_of_its_envelope(capsys):
+    # the benchmark's graph_export runs p + q = 9, past tools/cli_digest.py's
+    # p + q <= 8, and its output check only parses the JSON
+    code, out, _ = run_cli(capsys, "graph", "--p", "4", "--q", "5")
+    assert code == 0
+    graph = weak_order.graph_json_dict(weak_order.weak_order_graph(4, 5))
+    assert (len(graph["nodes"]), len(graph["edges"])) == (9891, 38640)
+    envelope = {"command": "graph", "inputs": {"p": 4, "q": 5}, "output": graph}
+    # compared by digest: pytest's diff of two 4.8 MB strings would not end
+    sha = [hashlib.sha256(text.encode()).hexdigest() for text in (out, _json_dumps(envelope))]
+    assert sha[0] == sha[1]
 
 
 # sha256 of the JSON report of one call per subcommand and option.  The
