@@ -9,10 +9,13 @@ guard raises :class:`GuardError`, never silently truncates.
 
 Each guard has a safe default and can be overridden per call: every
 guarded function takes a ``guard=`` argument, and the CLI passes its
-``--perm-guard`` / ``--clan-guard`` options through.
+``--perm-guard`` / ``--clan-guard`` options through.  The caches that
+live across calls are bounded too, each by a :class:`BoundedStore`.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 # Largest n for which w_set may run on a clan of length n, and for which
 # enumerate_by_length may list a length slice of S_n.
@@ -33,3 +36,28 @@ def check_guard(size: int, guard: int | None, default: int, what: str) -> None:
             f"{what} needs size {size}, above the guard {limit}; "
             f"raise the guard explicitly if this is intended"
         )
+
+
+class BoundedStore(OrderedDict):
+    """Finished results shared across calls, each weighed by len(value).
+    trim(bound) evicts the oldest, by insertion order, until the weight is
+    at most bound.  Threads may share a store: results stay exact and trim
+    does not raise, but the weight may drift."""
+
+    weight = 0
+
+    def put(self, key, value):
+        self[key] = value
+        self.weight += len(value)
+        return value
+
+    def clear(self) -> None:
+        super().clear()
+        self.weight = 0
+
+    def trim(self, bound: int) -> None:
+        while self.weight > bound:
+            try:
+                self.weight -= len(self.popitem(last=False)[1])
+            except KeyError:  # another thread emptied the store
+                self.weight = 0

@@ -66,7 +66,7 @@ import itertools
 import operator
 from typing import Iterable, Mapping
 
-from . import permutations
+from . import guards, permutations
 from .permutations import Perm
 
 ExpVec = tuple[int, ...]
@@ -246,12 +246,10 @@ def _divdiff(coeffs: Mapping[int, int], k: int) -> dict[int, int]:
 
 # Schubert polynomials by trimmed w, packed.  Neither S_w nor a packed
 # monomial depends on the number of variables, so one entry serves every m.
-_SCHUBERT_CACHE: dict[Perm, dict[int, int]] = {}
-# Most entries the cache keeps between oracle_product calls: a call that
-# leaves more clears it.  Entry size grows with n: an n = 8 sweep leaves
-# 8,870 entries of about 5 kB each, but at n = 9 they average 12.7 kB, and
-# the full n = 9 sweep reached 241 MB at 19,012 entries (tracemalloc).
-SCHUBERT_CACHE_MAX_ENTRIES = 20_000
+_SCHUBERT_CACHE: guards.BoundedStore[Perm, dict[int, int]] = guards.BoundedStore()
+# Most monomials, about 78 B each, the cache keeps between oracle_product
+# calls (oldest out first); an n = 8 sweep leaves 620,383, about 49 MB.
+SCHUBERT_CACHE_MAX_MONOMIALS = 2_000_000
 
 
 def clear_schubert_cache() -> None:
@@ -277,13 +275,13 @@ def _schubert_coeffs(w: Perm) -> dict[int, int]:
     while result is None:
         ascent = next((i for i in range(d - 1) if w[i] < w[i + 1]), None)
         if ascent is None:
-            result = _SCHUBERT_CACHE[w] = {_pack(range(d - 1, -1, -1)): 1}
+            result = _SCHUBERT_CACHE.put(w, {_pack(range(d - 1, -1, -1)): 1})
         else:
             path.append((w, ascent))
             w = w[:ascent] + (w[ascent + 1], w[ascent]) + w[ascent + 2:]
             result = _SCHUBERT_CACHE.get(w)
     for w, ascent in reversed(path):
-        result = _SCHUBERT_CACHE[w] = _divdiff(result, ascent)
+        result = _SCHUBERT_CACHE.put(w, _divdiff(result, ascent))
     return result
 
 
@@ -430,8 +428,8 @@ def oracle_product(x: Perm, y: Perm, degree: int | None = None) -> dict[Perm, in
     nonempty; see the module docstring).  That covers every pair with
     l(x) + l(y) above the length of w0.  The tier-1 tests check the fact by
     arithmetic against the uncut greedy.  The Schubert polynomials built on
-    the way stay cached for later calls, up to SCHUBERT_CACHE_MAX_ENTRIES of
-    them between calls.
+    the way stay cached for later calls, up to SCHUBERT_CACHE_MAX_MONOMIALS
+    monomials between calls; past that, the oldest polynomials go first.
 
     The work runs on packed monomials throughout, by the kernels behind
     multiply and expand_schubert; no MultiPoly is built.  The product has
@@ -465,8 +463,7 @@ def oracle_product(x: Perm, y: Perm, degree: int | None = None) -> dict[Perm, in
     sx = _schubert_coeffs(permutations.trim(xs))
     sy = _schubert_coeffs(permutations.trim(ys))
     expansion = _expand_packed(_multiply_packed(sx, sy), n, degree)
-    if schubert_cache_size() > SCHUBERT_CACHE_MAX_ENTRIES:
-        clear_schubert_cache()
+    _SCHUBERT_CACHE.trim(SCHUBERT_CACHE_MAX_MONOMIALS)
     return expansion if degree is None else restrict_to_degree(expansion, degree)
 
 

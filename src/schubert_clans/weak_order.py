@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 from . import clans, permutations
 from .clans import MINUS, PLUS, Clan
-from .guards import DEFAULT_PERM_GUARD, check_guard
+from .guards import DEFAULT_PERM_GUARD, BoundedStore, check_guard
 from .permutations import Perm
 
 
@@ -172,31 +172,19 @@ def graph_json_dict(graph: WeakOrderGraph) -> dict:
 # Brion's w-sets shared by every w_set call in the process, each stored as
 # a sorted tuple.  A clan fixes (p, q), and an entry is written only once
 # the full w-set of its clan is known, so any later call may reuse it.
-_W_SET_TABLE: dict[Clan, tuple[Perm, ...]] = {}
-_table_perms = 0  # permutations stored in _W_SET_TABLE
-
-# Most permutations the shared table keeps between calls: a call that leaves
-# more clears it.  A single call still stores everything its descent needs.
+_W_SET_TABLE: BoundedStore[Clan, tuple[Perm, ...]] = BoundedStore()
+# Most permutations the shared table keeps between calls (oldest out first).
 W_SET_TABLE_MAX_PERMS = 250_000
 
 
 def clear_w_set_table() -> None:
     """Empty the w-set table that :func:`w_set` shares across calls."""
-    global _table_perms
     _W_SET_TABLE.clear()
-    _table_perms = 0
 
 
 def w_set_table_size() -> int:
     """The number of permutations the shared w-set table stores."""
-    return _table_perms
-
-
-def _store(clan: Clan, entry: tuple[Perm, ...]) -> tuple[Perm, ...]:
-    global _table_perms
-    _W_SET_TABLE[clan] = entry
-    _table_perms += len(entry)
-    return entry
+    return _W_SET_TABLE.weight
 
 
 def _descend(clan: Clan, dense: Clan, n: int) -> tuple[Perm, ...]:
@@ -206,7 +194,7 @@ def _descend(clan: Clan, dense: Clan, n: int) -> tuple[Perm, ...]:
     if got is not None:
         return got
     if clan == dense:
-        return _store(clan, (permutations.identity(n),))
+        return _W_SET_TABLE.put(clan, (permutations.identity(n),))
     acc: set[Perm] = set()
     for i in range(1, n):
         up = act_simple(i, clan)
@@ -215,7 +203,7 @@ def _descend(clan: Clan, dense: Clan, n: int) -> tuple[Perm, ...]:
         for w in _descend(up, dense, n):
             if w[i - 1] < w[i]:
                 acc.add(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :])
-    return _store(clan, tuple(sorted(acc)))
+    return _W_SET_TABLE.put(clan, tuple(sorted(acc)))
 
 
 def w_set(gamma: Clan, guard: int | None = None) -> list[Perm]:
@@ -237,7 +225,7 @@ def w_set(gamma: Clan, guard: int | None = None) -> list[Perm]:
     Every W(clan) the descent finishes goes into one table shared by all
     calls, so a sweep or a long-lived caller computes each clan once.  The
     table holds at most W_SET_TABLE_MAX_PERMS permutations between calls:
-    a call that leaves more clears it.  :func:`w_set_table_size` reports
+    past it, the oldest w-sets go first.  :func:`w_set_table_size` reports
     the permutations stored and :func:`clear_w_set_table` frees them.
 
     >>> w_set((1, 2, 1, 2))
@@ -247,8 +235,7 @@ def w_set(gamma: Clan, guard: int | None = None) -> list[Perm]:
     n = p + q
     check_guard(n, guard, DEFAULT_PERM_GUARD, f"w_set over S_{n}")
     got = _descend(gamma, clans.dense_clan(p, q), n)
-    if w_set_table_size() > W_SET_TABLE_MAX_PERMS:
-        clear_w_set_table()
+    _W_SET_TABLE.trim(W_SET_TABLE_MAX_PERMS)
     return list(got)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from schubert_clans import oracle as O
 from schubert_clans import permutations as P
+from schubert_clans.guards import BoundedStore
 from schubert_clans.oracle import MultiPoly
 
 from conftest import (
@@ -449,15 +450,54 @@ def test_bruhat_cut_skips_the_multiply(monkeypatch):
 def test_schubert_cache_cap(monkeypatch):
     pairs = [(x, y) for x in all_perms(4) for y in all_perms(4)][::37]
     want = [O.oracle_product(x, y) for x, y in pairs]
-    monkeypatch.setattr(O, "SCHUBERT_CACHE_MAX_ENTRIES", 25)
+    monkeypatch.setattr(O, "SCHUBERT_CACHE_MAX_MONOMIALS", 30)
+    built = []
+    put = BoundedStore.put
+
+    def recording_put(store, key, value):
+        built.append(key)
+        return put(store, key, value)
+
+    monkeypatch.setattr(BoundedStore, "put", recording_put)
     O._SCHUBERT_CACHE.clear()
-    sizes = []
+    evicting_calls = 0
     for (x, y), expected in zip(pairs, want):
+        before = set(O._SCHUBERT_CACHE)
+        built.clear()
         assert O.oracle_product(x, y) == expected
-        sizes.append(len(O._SCHUBERT_CACHE))
-    assert max(sizes) <= 25
-    # a call caches at least S_x, so only a clear leaves 0
-    assert 0 < sizes.count(0) < len(sizes)
+        cache = O._SCHUBERT_CACHE
+        assert cache.weight == sum(map(len, cache.values())) <= 30
+        # past the bound the oldest polynomials go; those the call built are
+        # the newest, and here they always fit the bound
+        assert set(built) <= set(cache)
+        evicting_calls += not before <= set(cache)
+    assert evicting_calls > 0
+
+
+def test_oracle_repeat_after_the_cache_overflows(monkeypatch):
+    # A and B build disjoint sets of polynomials, of 18 and 59 monomials;
+    # a bound between 59 and 18 + 59 keeps all of B, the newer product
+    a, b = ((4, 1, 5, 2, 3), (1, 3, 2, 4, 5), 5), ((5, 1, 2, 6, 3, 4), (1, 3, 4, 2, 5, 6), 6)
+    O.clear_schubert_cache()
+    O.oracle_product(*a)
+    built_by_a = set(O._SCHUBERT_CACHE)
+    assert O._SCHUBERT_CACHE.weight == 18
+    O.clear_schubert_cache()
+    want = O.oracle_product(*b)
+    assert O._SCHUBERT_CACHE.weight == 59
+    assert not built_by_a & set(O._SCHUBERT_CACHE)
+
+    monkeypatch.setattr(O, "SCHUBERT_CACHE_MAX_MONOMIALS", 60)
+    O.clear_schubert_cache()
+    O.oracle_product(*a)
+    assert O.oracle_product(*b) == want
+    assert O._SCHUBERT_CACHE.weight == 59
+
+    def no_divdiff(coeffs, k):
+        raise AssertionError("the repeat call built a polynomial again")
+
+    monkeypatch.setattr(O, "_divdiff", no_divdiff)
+    assert O.oracle_product(*b) == want
 
 
 def test_oracle_product_positivity_s3():

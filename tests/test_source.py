@@ -32,6 +32,11 @@ UNREFERENCED_PUBLIC = {
     "weak_order.classify_root": "the benchmark traces it by name",
     "permutations.enumerate_by_length": "the benchmark traces it by name",
     "clans.count_clans": "the benchmark's graph check counts nodes with it",
+    # the process caches' public handles; their BoundedStore trims itself
+    "weak_order.clear_w_set_table": "public API: frees the shared w-set table",
+    "weak_order.w_set_table_size": "public API: permutations the shared w-set table stores",
+    "oracle.clear_schubert_cache": "public API: frees the shared Schubert polynomial cache",
+    "oracle.schubert_cache_size": "public API: polynomials the shared Schubert cache stores",
 }
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from schubert_clans import clans as C
 from schubert_clans import permutations as P
+from schubert_clans import richardson as R
 from schubert_clans import weak_order as W
 from schubert_clans.guards import GuardError
 
@@ -312,13 +313,32 @@ def test_w_set_table_bound(monkeypatch):
     want = [w_set_scan(gamma) for gamma in order]
     monkeypatch.setattr(W, "W_SET_TABLE_MAX_PERMS", 40)
     W.clear_w_set_table()
-    sizes = []
+    evicting_calls = 0
     for gamma, expected in zip(order, want):
+        before = set(W._W_SET_TABLE)
         assert W.w_set(gamma) == expected, gamma
-        sizes.append(W.w_set_table_size())
-    assert max(sizes) <= 40
-    # a call stores at least its own clan, so only a clear leaves 0
-    assert 0 < sizes.count(0) < len(sizes)
+        assert W.w_set_table_size() == sum(map(len, W._W_SET_TABLE.values())) <= 40
+        # past the bound the oldest w-sets go, and the call's own is newest
+        assert W._W_SET_TABLE[gamma] == tuple(expected)
+        evicting_calls += not before <= set(W._W_SET_TABLE)
+    assert evicting_calls > 0
+
+
+def test_w_set_repeat_after_the_table_overflows(monkeypatch):
+    # the alternating n = 8 clan stores 6700 permutations, 105 of them its
+    # own; trimmed to the bound, the table keeps the newest, its own included
+    gamma = tuple("+-"[k % 2] for k in range(8))
+    monkeypatch.setattr(W, "W_SET_TABLE_MAX_PERMS", 1000)
+    W.clear_w_set_table()
+    first = W.w_set(gamma)
+    assert len(first) == 105
+    assert 105 <= W.w_set_table_size() <= 1000
+
+    def no_action(i, clan):
+        raise AssertionError("the repeat call descended again")
+
+    monkeypatch.setattr(W, "act_simple", no_action)
+    assert W.w_set(gamma) == first
 
 
 def test_w_set_table_shared_by_threads(monkeypatch):
@@ -352,6 +372,16 @@ def test_w_set_table_shared_by_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert problems == []
+
+
+def test_w_set_table_after_the_clan_side_of_every_pair_at_n7():
+    W.clear_w_set_table()
+    w0 = P.longest(7)
+    for p in range(1, 7):
+        for u, v in R.admissible_pairs(7, p):
+            R.special_product(P.compose(w0, u), v, p)
+    assert W.w_set_table_size() == 7242
+    assert len(W._W_SET_TABLE) == 1848
 
 
 @pytest.mark.parametrize("n", range(1, 13))
