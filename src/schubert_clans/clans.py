@@ -251,12 +251,29 @@ def enumerate_clans(p: int, q: int, guard: int | None = None) -> list[Clan]:
 
     Order is the lexicographic DFS order over the symbol choices
     + < - < open-new-pair < close-of-label-1 < close-of-label-2 < ...
-    which keeps golden files stable.
+    which keeps golden files stable.  The clan guard caps the symbols
+    listed, count_clans(p, q) * (p + q), and is checked before any clan
+    is made.
     """
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError("need p, q >= 0 with p + q >= 1")
     n = p + q
-    check_guard(n, guard, DEFAULT_CLAN_GUARD, f"enumeration of ({p},{q})-clans")
+    what = f"enumeration of ({p},{q})-clans"
+    # n * C(n, min(p, q)), the symbols of count_clans's k = 0 term, is a
+    # lower bound.  Built a factor at a time, C(n, i) at least doubling,
+    # it passes any guard within a few steps, so a huge shape is refused
+    # before count_clans works through its big integers.
+    limit = DEFAULT_CLAN_GUARD if guard is None else guard
+    least = n
+    for i in range(1, min(p, q) + 1):
+        if least > limit:
+            break
+        least = least * (n + 1 - i) // i
+    check_guard(least, guard, DEFAULT_CLAN_GUARD, what, at_least=True)
+    check_guard(count_clans(p, q) * n, guard, DEFAULT_CLAN_GUARD, what)
+    if not p or not q:
+        # the one sign-only clan, which the DFS would reach n frames deep
+        return [(PLUS,) * p + (MINUS,) * q]
 
     out: list[Clan] = []
     symbols: list[Symbol] = []
@@ -300,9 +317,8 @@ def count_clans(p: int, q: int) -> int:
     """
     n = p + q
     total = 0
+    matchings = 1  # (2k-1)!!, the ways to pair 2k positions
     for k in range(min(p, q) + 1):
-        matchings = 1
-        for odd in range(1, 2 * k, 2):
-            matchings *= odd
         total += comb(n, 2 * k) * matchings * comb(n - 2 * k, p - k)
+        matchings *= 2 * k + 1
     return total

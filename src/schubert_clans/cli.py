@@ -18,6 +18,15 @@ bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``, but
 the C escaper ``json.dumps`` uses (``encode_basestring_ascii``), each
 ``int`` to ``int.__repr__`` and every other atom to ``json.dumps``.
 
+Reports are built whole and written once, except ``graph``'s, which is
+written while it is made.  Its handler passes ``sys.stdout`` to
+:func:`_report`; the edges come as an iterator, each array writes the
+pieces gathered so far every ``_FLUSH_PIECES`` pieces, and the handler
+returns only the rest.  DOT goes out a line at a time, nodes then edges,
+through the stream's own buffer.  So the graph's edges, their dicts and
+the report's text are never all held at once.  The clan guard is checked
+before the first write, so a refused call prints nothing to stdout.
+
 Exit status: 0 on success, 1 when a verification or golden-data comparison
 fails, 2 on bad input or an exceeded guard.
 """
@@ -30,6 +39,7 @@ import itertools
 import json
 import sys
 import time
+from collections.abc import Iterator
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 
@@ -53,19 +63,25 @@ _ATOMS = {
 }
 
 
-def _dumps(doc: dict) -> str:
+# Pieces an array gathers before a streamed report writes them out.
+_FLUSH_PIECES = 8192
+
+
+def _dumps(doc: dict, stream=None) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
     One recursive pass appends to one list, joined once.  Dict keys must be
-    ``str``: any other key raises ``TypeError``.
+    ``str``: any other key raises ``TypeError``.  An iterator is written as
+    an array.  Given a stream, an array writes the pieces gathered so far
+    to it every _FLUSH_PIECES pieces, and only the rest is returned.
     """
     out = []
-    _write(doc, "\n", out)
+    _write(doc, "\n", out, stream)
     out.append("\n")
     return "".join(out)
 
 
-def _write(obj, newline: str, out: list) -> None:
+def _write(obj, newline: str, out: list, stream) -> None:
     """Append the JSON text of obj to out; newline is "\\n" plus its indent."""
     atom = _ATOMS.get(type(obj))
     if atom is not None:
@@ -80,27 +96,28 @@ def _write(obj, newline: str, out: list) -> None:
             out.append(lead)
             out.append(encode_basestring_ascii(key))
             out.append(": ")
-            _write(obj[key], inner, out)
+            _write(obj[key], inner, out, stream)
             lead = sep
         out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
+    elif isinstance(obj, (list, tuple, Iterator)):
         inner = newline + "  "
         lead, sep = "[" + inner, "," + inner
         for item in obj:
             out.append(lead)
-            _write(item, inner, out)
+            _write(item, inner, out, stream)
             lead = sep
-        out.append(newline + "]")
+            if stream is not None and len(out) >= _FLUSH_PIECES:
+                stream.write("".join(out))
+                out.clear()
+        out.append(newline + "]" if lead is sep else "[]")
     else:
         out.append(json.dumps(obj))
 
 
-def _report(args, output, **rest) -> str:
+def _report(args, output, stream=None, **rest) -> str:
     inputs = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
-    return _dumps({"command": args.subcommand, "inputs": inputs, "output": output, **rest})
+    doc = {"command": args.subcommand, "inputs": inputs, "output": output, **rest}
+    return _dumps(doc, stream)
 
 
 def _expansion_json(x, y, p, expansion) -> dict:
@@ -189,10 +206,12 @@ def cmd_pair_of(args) -> tuple[str, int]:
 
 
 def cmd_graph(args) -> tuple[str, int]:
+    # written while it is made: the guard has passed by the first write
     graph = weak_order.weak_order_graph(args.p, args.q, guard=args.clan_guard)
     if args.format == "dot":
-        return weak_order.graph_dot(graph), 0
-    return _report(args, weak_order.graph_json_dict(graph)), 0
+        sys.stdout.writelines(weak_order.graph_dot(graph))
+        return "", 0
+    return _report(args, weak_order.graph_json_dict(graph), sys.stdout), 0
 
 
 def cmd_clans(args) -> tuple[str, int]:
@@ -299,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
     json_text = ("json", "text")
-    clan_guard_help = "largest p+q whose clans may be enumerated"
+    clan_guard_help = "most symbols, clans times p+q, a clan enumeration may list"
 
     sp = sub.add_parser("product", help="expand S_x * S_y by the clan rule")
     sp.add_argument("--x", required=True)

@@ -28,8 +28,10 @@ the test suite, not computed at run time.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import clans, permutations
 from .clans import MINUS, PLUS, Clan
@@ -116,56 +118,71 @@ class Edge(NamedTuple):
 
 @dataclass(frozen=True)
 class WeakOrderGraph:
+    """The weak order graph on (p,q)-clans.  Its edges are listed on first
+    access and kept; :func:`iter_edges` gives them one at a time instead."""
+
     p: int
     q: int
     nodes: tuple[Clan, ...]
-    edges: tuple[Edge, ...]
+
+    @functools.cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(itertools.starmap(Edge, iter_edges(self)))
 
 
 def weak_order_graph(p: int, q: int, guard: int | None = None) -> WeakOrderGraph:
     """The full weak order graph on (p,q)-clans.
 
     One edge per (clan, root) that moves the clan.  Every edge is single
-    (see the module docstring), so edges carry no multiplicity.
+    (see the module docstring), so edges carry no multiplicity.  The clan
+    guard is checked here, before any edge is made.
     """
-    nodes = tuple(clans.enumerate_clans(p, q, guard=guard))
-    n = p + q
-    edges = []
-    for gamma in nodes:
-        for i in range(1, n):
+    return WeakOrderGraph(p, q, tuple(clans.enumerate_clans(p, q, guard=guard)))
+
+
+def iter_edges(graph: WeakOrderGraph) -> Iterator[tuple[Clan, Clan, int]]:
+    """(src, dst, root) for every (clan, root) that moves the clan: clans in
+    node order, roots ascending, one edge at a time."""
+    roots = range(1, graph.p + graph.q)
+    for gamma in graph.nodes:
+        for i in roots:
             target = act_simple(i, gamma)
             if target != gamma:
-                edges.append(Edge(gamma, target, i))
-    return WeakOrderGraph(p, q, nodes, tuple(edges))
+                yield gamma, target, i
 
 
-def graph_dot(graph: WeakOrderGraph) -> str:
-    """DOT text: nodes labeled by clan text, edges by their root index."""
+def graph_dot(graph: WeakOrderGraph) -> Iterator[str]:
+    """DOT text, one line at a time: nodes labeled by clan text, then edges
+    labeled by their root index.  ``"".join(graph_dot(graph))`` is the file."""
     text = {g: clans.format_clan(g) for g in graph.nodes}
-    lines = ["digraph weak_order {", "  rankdir=BT;"]
-    for gamma in graph.nodes:
-        lines.append(f'  "{text[gamma]}";')
-    for e in graph.edges:
-        lines.append(f'  "{text[e.src]}" -> "{text[e.dst]}" [label={e.root}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield "digraph weak_order {\n  rankdir=BT;\n"
+    for label in text.values():
+        yield f'  "{label}";\n'
+    for src, dst, root in iter_edges(graph):
+        yield f'  "{text[src]}" -> "{text[dst]}" [label={root}];\n'
+    yield "}\n"
 
 
 def graph_json_dict(graph: WeakOrderGraph) -> dict:
+    """The JSON document of the graph, for ``cli``'s report writer, which
+    streams it.  Its ``edges`` is a one-shot iterator of edge dicts, made
+    as the writer consumes it: a second read finds it empty, and
+    ``json.dumps`` refuses the document with ``TypeError`` unless the
+    edges are first listed, ``doc["edges"] = list(doc["edges"])``."""
     text = {g: clans.format_clan(g) for g in graph.nodes}
     return {
         "p": graph.p,
         "q": graph.q,
-        "nodes": [text[g] for g in graph.nodes],
-        "edges": [
+        "nodes": list(text.values()),
+        "edges": (
             {
-                "src": text[e.src],
-                "dst": text[e.dst],
-                "root": e.root,
+                "src": text[src],
+                "dst": text[dst],
+                "root": root,
                 "mult": 1,  # every edge is single; the wire format keeps the field
             }
-            for e in graph.edges
-        ],
+            for src, dst, root in iter_edges(graph)
+        ),
     }
 
 

@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 from schubert_clans import clans as C
-from schubert_clans.guards import GuardError
+from schubert_clans.guards import DEFAULT_CLAN_GUARD, GuardError
 
 
 # parsing and the matching-position equivalence
@@ -186,11 +186,42 @@ def test_enumeration_count_formula(p, q):
 
 
 def test_enumerate_guard():
+    # the guard caps the symbols listed, count_clans(p, q) * (p + q)
+    assert len(C.enumerate_clans(2, 2, guard=84)) == 21
+    with pytest.raises(GuardError):
+        C.enumerate_clans(2, 2, guard=83)
+    # the default admits every shape with p + q <= 12, (6, 6) the largest,
+    # and refuses (7, 6) before making a clan
+    assert max(C.count_clans(p, 12 - p) for p in range(13)) * 12 == 10_148_292
+    assert 10_148_292 <= DEFAULT_CLAN_GUARD
     with pytest.raises(GuardError):
         C.enumerate_clans(7, 6)
-    assert len(C.enumerate_clans(2, 2, guard=4)) == 21
+    # a thin shape has few clans, but long ones: 45,451 clans of length 301
     with pytest.raises(GuardError):
-        C.enumerate_clans(3, 2, guard=4)
+        C.enumerate_clans(1, 300)
+
+
+def test_enumerate_guard_refuses_huge_shapes_without_counting(monkeypatch):
+    # count_clans(30000, 30000) has tens of thousands of digits; the guard
+    # refuses on the lower bound n * C(n, i) as soon as it passes the cap
+    def no_count(p, q):
+        raise AssertionError("count_clans ran on a shape its lower bound refuses")
+
+    monkeypatch.setattr(C, "count_clans", no_count)
+    for p, q in [(30000, 30000), (100000, 100000), (10**9, 10**9), (0, 10**9), (1, 10**6)]:
+        with pytest.raises(GuardError, match=r"needs size at least \d+, above the guard 12000000;"):
+            C.enumerate_clans(p, q)
+    monkeypatch.undo()
+    # once the bound fits, the exact count decides: 13 * C(13, 6) fits, but
+    # 13 * count_clans(7, 6) does not
+    with pytest.raises(GuardError, match=r"needs size 45580821, above the guard 12000000;"):
+        C.enumerate_clans(7, 6)
+
+
+def test_enumerate_sign_only_shapes_at_any_length():
+    # one clan however long, listed without a DFS frame per symbol
+    assert C.enumerate_clans(0, 5000) == [(C.MINUS,) * 5000]
+    assert C.enumerate_clans(3, 0) == [(C.PLUS,) * 3]
 
 
 def test_normalize_validation():

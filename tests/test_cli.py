@@ -1,15 +1,18 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubert_clans import cli, oracle, richardson, weak_order
+from schubert_clans import clans, cli, oracle, richardson, weak_order
 
 
 def run_cli(capsys, *argv):
@@ -270,6 +273,19 @@ def test_dumps_empty_containers_at_depth():
     assert cli._dumps({}) == "{}\n"
 
 
+def test_dumps_streams_iterators_as_arrays():
+    # an iterator is written as the array of its items; given a stream,
+    # arrays write out what they gathered and only the rest is returned
+    def doc():
+        return {"a": iter(range(20000)), "b": iter([]), "c": [iter([{"d": iter([1])}]), ()]}
+    want = _json_dumps({"a": list(range(20000)), "b": [], "c": [[{"d": [1]}], []]})
+    assert cli._dumps(doc()) == want
+    stream = io.StringIO()
+    tail = cli._dumps(doc(), stream)
+    assert stream.getvalue() and len(tail) < len(want)
+    assert stream.getvalue() + tail == want
+
+
 @pytest.mark.parametrize(
     "doc",
     [{1: "int key"}, {"a": {("t",): 1}}, {"a": [{None: 1}]}, {"a": {1, 2}}, {"a": [object()]}],
@@ -281,17 +297,53 @@ def test_dumps_refuses_what_json_cannot_write(doc):
         cli._dumps(doc)
 
 
+# sha256 of graph --p 4 --q 5, the benchmark's largest graph_export shape,
+# past tools/cli_digest.py's p + q <= 8; the benchmark's output check only
+# parses the report.  Taken from the writer that built the whole report
+# before printing it, so the streamed report must match it byte for byte.
+LARGEST_GRAPH_DIGESTS = {
+    "json": "f1ff72b25a850578c009a931404d44430f7090a37895b234c35183c377b50374",
+    "dot": "f0ad2294419ffe2ee5d25769c41250070af9751ae1d8322fd7e7835f39f1867d",
+}
+
+
 def test_largest_graph_report_is_json_dumps_of_its_envelope(capsys):
-    # the benchmark's graph_export runs p + q = 9, past tools/cli_digest.py's
-    # p + q <= 8, and its output check only parses the JSON
     code, out, _ = run_cli(capsys, "graph", "--p", "4", "--q", "5")
     assert code == 0
-    graph = weak_order.graph_json_dict(weak_order.weak_order_graph(4, 5))
-    assert (len(graph["nodes"]), len(graph["edges"])) == (9891, 38640)
-    envelope = {"command": "graph", "inputs": {"p": 4, "q": 5}, "output": graph}
     # compared by digest: pytest's diff of two 4.8 MB strings would not end
-    sha = [hashlib.sha256(text.encode()).hexdigest() for text in (out, _json_dumps(envelope))]
-    assert sha[0] == sha[1]
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGEST_GRAPH_DIGESTS["json"]
+    doc = json.loads(out)
+    graph = doc["output"]
+    assert (len(graph["nodes"]), len(graph["edges"])) == (9891, 38640)
+    assert hashlib.sha256(_json_dumps(doc).encode()).hexdigest() == LARGEST_GRAPH_DIGESTS["json"]
+
+
+def test_largest_graph_dot_report_pinned(capsys):
+    code, out, _ = run_cli(capsys, "graph", "--p", "4", "--q", "5", "--format", "dot")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGEST_GRAPH_DIGESTS["dot"]
+    assert (out.count('";\n'), out.count(" -> ")) == (9891, 38640)
+
+
+class _Discard(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_graph_export_memory_is_bounded(fmt):
+    # a report built whole before printing holds every edge several times
+    # over: 53.4 MB (JSON) and 19.8 MB (DOT) at this shape
+    argv = ["graph", "--p", "4", "--q", "5", "--format", fmt]
+    with contextlib.redirect_stdout(_Discard()), contextlib.redirect_stderr(io.StringIO()):
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak <= 10_000_000, f"{peak / 1e6:.1f} MB"
 
 
 # sha256 of the JSON report of one call per subcommand and option.  The
@@ -313,7 +365,7 @@ REPORT_DIGESTS = {
         "f1c25d531c1e4e0aa0ac21c2d6878c0a6b50c72cb9c20be4249b437f16212ba3",
     ("clans", "--p", "1", "--q", "2"):
         "3cf6d31e5b17142c0dda92eb81a099247f09762df5e94f0db00ea55f2101b0d0",
-    ("clans", "--p", "2", "--q", "2", "--clan-guard", "12"):
+    ("clans", "--p", "2", "--q", "2", "--clan-guard", "84"):
         "7545ef472a87da365623eb1490a19bc54625806bde090375f9c92a0f8cfc0f0e",
     ("verify", "--n", "4"):
         "3689762bb4ff518fe611517fb6d2a54ea47188ae02fe8d7fdac196c9c19a913e",
@@ -380,8 +432,55 @@ def test_graph_guard(capsys):
     code, _, err = run_cli(capsys, "graph", "--p", "9", "--q", "9")
     assert code == 2
     assert "guard" in err
-    code, _, _ = run_cli(capsys, "clans", "--p", "3", "--q", "2", "--clan-guard", "4")
+    # the guard caps count_clans(p, q) * (p + q) symbols: 55 * 5 at (3, 2)
+    code, out, _ = run_cli(capsys, "clans", "--p", "3", "--q", "2", "--clan-guard", "275")
+    assert code == 0
+    assert json.loads(out)["output"]["count"] == 55
+    code, _, _ = run_cli(capsys, "graph", "--p", "3", "--q", "2", "--clan-guard", "275")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "clans", "--p", "3", "--q", "2", "--clan-guard", "274")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "--p", "9", "--q", "9"),
+        ("graph", "--p", "9", "--q", "9", "--format", "dot"),
+        ("graph", "--p", "3", "--q", "2", "--clan-guard", "274"),
+        ("graph", "--p", "3", "--q", "2", "--clan-guard", "274", "--format", "dot"),
+        ("clans", "--p", "9", "--q", "9"),
+        ("clans", "--p", "3", "--q", "2", "--clan-guard", "274", "--format", "text"),
+    ],
+    ids=" ".join,
+)
+def test_refused_call_prints_no_partial_report(capsys, argv):
+    # graph writes its report while it makes it, so a refusal must come first
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: enumeration of (")
+    assert "above the guard" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "--p", "100000", "--q", "100000"),
+        ("graph", "--p", "100000", "--q", "100000", "--format", "dot"),
+        ("clans", "--p", "30000", "--q", "30000"),
+    ],
+    ids=" ".join,
+)
+def test_huge_shape_is_refused_without_counting_its_clans(capsys, monkeypatch, argv):
+    # an exact count at these shapes is minutes of big-integer work; the
+    # guard refuses on a lower bound first
+    def no_count(p, q):
+        raise AssertionError("count_clans ran on a shape its lower bound refuses")
+
+    monkeypatch.setattr(clans, "count_clans", no_count)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "needs size at least" in err and "above the guard 12000000" in err
 
 
 def test_clans_listing(capsys):

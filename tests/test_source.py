@@ -31,7 +31,6 @@ UNREFERENCED_PUBLIC = {
     "richardson.structure_constant": "the paper's c_{u,v}^w for one w",
     "weak_order.classify_root": "the benchmark traces it by name",
     "permutations.enumerate_by_length": "the benchmark traces it by name",
-    "clans.count_clans": "the benchmark's graph check counts nodes with it",
     # the process caches' public handles; their BoundedStore trims itself
     "weak_order.clear_w_set_table": "public API: frees the shared w-set table",
     "weak_order.w_set_table_size": "public API: permutations the shared w-set table stores",

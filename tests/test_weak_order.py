@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import threading
@@ -214,12 +215,30 @@ def test_graph_acyclic_paths_end_dense():
 
 def test_graph_exports():
     g = W.weak_order_graph(1, 1)
-    dot = W.graph_dot(g)
+    dot = "".join(W.graph_dot(g))
     assert dot.startswith("digraph")
     assert '"(+,-)" -> "(1,1)" [label=1];' in dot
     doc = W.graph_json_dict(g)
     assert doc["nodes"] == ["(+,-)", "(-,+)", "(1,1)"]
-    assert {"src": "(+,-)", "dst": "(1,1)", "root": 1, "mult": 1} in doc["edges"]
+    assert list(doc["edges"]) == [
+        {"src": "(+,-)", "dst": "(1,1)", "root": 1, "mult": 1},
+        {"src": "(-,+)", "dst": "(1,1)", "root": 1, "mult": 1},
+    ]
+    # one-shot, so not plain JSON until the edges are listed
+    assert list(doc["edges"]) == []
+    with pytest.raises(TypeError):
+        json.dumps(W.graph_json_dict(g))
+
+
+def test_edges_are_the_streamed_edges():
+    g = W.weak_order_graph(3, 2)
+    streamed = list(W.iter_edges(g))
+    assert [tuple(e) for e in g.edges] == streamed
+    assert g.edges is g.edges  # listed once, then kept
+    # clans in node order, each clan's roots ascending
+    rank = {gamma: k for k, gamma in enumerate(g.nodes)}
+    assert streamed == sorted(streamed, key=lambda e: (rank[e[0]], e[2]))
+    assert len({(src, root) for src, _, root in streamed}) == len(streamed)
 
 
 # the w-set and the class expansion
