@@ -18,6 +18,7 @@ the GL(p) x GL(q) orbit on the flag variety that the clan encodes.
 
 from __future__ import annotations
 
+import sys
 from math import comb
 from typing import Iterable, Union
 
@@ -154,9 +155,7 @@ def gamma_plus(gamma: Clan, i: int) -> int:
     [0, 1, 2, 2]
     """
     _check_pos(gamma, i)
-    prefix = gamma[:i]
-    plus = sum(1 for s in prefix if s == PLUS)
-    return plus + _complete_pairs(prefix)
+    return gamma[:i].count(PLUS) + _pairs_closed_by(gamma, i)
 
 
 def gamma_minus(gamma: Clan, i: int) -> int:
@@ -166,9 +165,7 @@ def gamma_minus(gamma: Clan, i: int) -> int:
     [0, 0, 1, 2]
     """
     _check_pos(gamma, i)
-    prefix = gamma[:i]
-    minus = sum(1 for s in prefix if s == MINUS)
-    return minus + _complete_pairs(prefix)
+    return gamma[:i].count(MINUS) + _pairs_closed_by(gamma, i)
 
 
 def gamma_cross(gamma: Clan, i: int, j: int) -> int:
@@ -186,12 +183,8 @@ def _check_pos(gamma: Clan, i: int) -> None:
         raise IndexError(f"position {i} out of range 1..{len(gamma)}")
 
 
-def _complete_pairs(prefix: tuple[Symbol, ...]) -> int:
-    counts: dict[int, int] = {}
-    for s in prefix:
-        if s not in (PLUS, MINUS):
-            counts[s] = counts.get(s, 0) + 1
-    return sum(1 for c in counts.values() if c == 2)
+def _pairs_closed_by(gamma: Clan, i: int) -> int:
+    return sum(1 for _, second in pair_positions(gamma).values() if second <= i)
 
 
 def clan_length(gamma: Clan) -> int:
@@ -221,7 +214,7 @@ def dense_clan(p: int, q: int) -> Clan:
     (1, 2, '+', 2, 1)
     """
     if p < 0 or q < 0 or p + q < 1:
-        raise ValueError("need p, q >= 0 with p + q >= 1")
+        raise ValueError(f"need p, q >= 0 with p + q >= 1, got ({p}, {q})")
     m = min(p, q)
     middle = [PLUS if p >= q else MINUS] * abs(p - q)
     return tuple(list(range(1, m + 1)) + middle + list(range(m, 0, -1)))
@@ -253,10 +246,11 @@ def enumerate_clans(p: int, q: int, guard: int | None = None) -> list[Clan]:
     + < - < open-new-pair < close-of-label-1 < close-of-label-2 < ...
     which keeps golden files stable.  The clan guard caps the symbols
     listed, count_clans(p, q) * (p + q), and is checked before any clan
-    is made.
+    is made.  The DFS takes one frame per symbol; a shape too long for
+    the recursion limit raises ValueError.
     """
     if p < 0 or q < 0 or p + q < 1:
-        raise ValueError("need p, q >= 0 with p + q >= 1")
+        raise ValueError(f"need p, q >= 0 with p + q >= 1, got ({p}, {q})")
     n = p + q
     what = f"enumeration of ({p},{q})-clans"
     # n * C(n, min(p, q)), the symbols of count_clans's k = 0 term, is a
@@ -306,7 +300,11 @@ def enumerate_clans(p: int, q: int, guard: int | None = None) -> list[Clan]:
             open_labels.insert(idx, label)
             symbols.pop()
 
-    fill(0, 0, 0, 0)
+    try:
+        fill(0, 0, 0, 0)
+    except RecursionError:
+        limit = sys.getrecursionlimit()
+        raise ValueError(f"({p},{q})-clans need {n} DFS frames, past the recursion limit {limit}") from None
     return out
 
 

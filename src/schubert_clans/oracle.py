@@ -63,7 +63,6 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import operator
 from typing import Iterable, Mapping
 
 from . import guards, permutations
@@ -73,10 +72,11 @@ ExpVec = tuple[int, ...]
 
 
 class MultiPoly:
-    """Sparse multivariate polynomial with a fixed variable count.
+    """Sparse multivariate polynomial with a fixed variable count: a
+    validated map from exponent tuples of length ``arity`` to nonzero ints.
 
-    Immutable by convention; all arithmetic returns new objects and zero
-    coefficients are never stored.
+    A container for the oracle's wrappers, immutable by convention and
+    with no arithmetic of its own; :func:`multiply` is its product.
     """
 
     __slots__ = ("arity", "coeffs")
@@ -95,25 +95,6 @@ class MultiPoly:
                 clean[tuple(exps)] = c
         self.coeffs = clean
 
-    @classmethod
-    def zero(cls, arity: int) -> "MultiPoly":
-        return cls(arity)
-
-    @classmethod
-    def one(cls, arity: int) -> "MultiPoly":
-        return cls(arity, {(0,) * arity: 1})
-
-    @classmethod
-    def variable(cls, i: int, arity: int) -> "MultiPoly":
-        """The variable x_i (1-indexed)."""
-        if not 1 <= i <= arity:
-            raise IndexError(f"variable index must lie in 1..{arity}")
-        exps = tuple(1 if k == i - 1 else 0 for k in range(arity))
-        return cls(arity, {exps: 1})
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)
@@ -121,55 +102,8 @@ class MultiPoly:
             and self.coeffs == other.coeffs
         )
 
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check_arity(other)
-        out = dict(self.coeffs)
-        for exps, c in other.coeffs.items():
-            newc = out.get(exps, 0) + c
-            if newc:
-                out[exps] = newc
-            else:
-                out.pop(exps, None)
-        return MultiPoly._raw(self.arity, out)
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly._raw(self.arity, {e: -c for e, c in self.coeffs.items()})
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "MultiPoly":
-        if isinstance(other, int):
-            if other == 0:
-                return MultiPoly.zero(self.arity)
-            return MultiPoly._raw(self.arity, {e: c * other for e, c in self.coeffs.items()})
-        self._check_arity(other)
-        out: dict[ExpVec, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                key = tuple(map(operator.add, e1, e2))
-                newc = out.get(key, 0) + c1 * c2
-                if newc:
-                    out[key] = newc
-                else:
-                    del out[key]
-        return MultiPoly._raw(self.arity, out)
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
-        if not self.coeffs:
-            return "MultiPoly(0)"
-        bits = []
-        for exps in sorted(self.coeffs, key=lambda e: (sum(e), e), reverse=True):
-            c = self.coeffs[exps]
-            mono = "*".join(
-                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}"
-                for i, e in enumerate(exps)
-                if e
-            )
-            bits.append(f"{c}" if not mono else (mono if c == 1 else f"{c}*{mono}"))
-        return "MultiPoly(" + " + ".join(bits) + ")"
+        return f"MultiPoly({self.arity}, {self.coeffs})"
 
     def _check_arity(self, other: "MultiPoly") -> None:
         if self.arity != other.arity:
@@ -186,8 +120,8 @@ class MultiPoly:
 def multiply(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     """Exact product; arities must agree.
 
-    The same as ``p * q``, taken on packed monomials, so the product's
-    degree must stay below 256, the most a packed exponent holds.
+    Taken on packed monomials, so the product's degree must stay below
+    256, the most a packed exponent holds.
     """
     p._check_arity(q)
     _require_byte_degree(max(map(sum, p.coeffs), default=0) + max(map(sum, q.coeffs), default=0))

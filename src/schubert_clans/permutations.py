@@ -39,7 +39,7 @@ def perm(values: Iterable[int]) -> Perm:
     """
     w = tuple(values)
     if not w:
-        raise ValueError("a permutation needs degree n >= 1")
+        raise ValueError(f"a permutation needs degree n >= 1, got {w}")
     if not is_perm(w):
         raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
     return w
@@ -47,7 +47,7 @@ def perm(values: Iterable[int]) -> Perm:
 
 def identity(n: int) -> Perm:
     if n < 1:
-        raise ValueError("degree must be >= 1")
+        raise ValueError(f"degree must be >= 1, got {n}")
     return tuple(range(1, n + 1))
 
 
@@ -58,7 +58,7 @@ def longest(n: int) -> Perm:
     (5, 4, 3, 2, 1)
     """
     if n < 1:
-        raise ValueError("degree must be >= 1")
+        raise ValueError(f"degree must be >= 1, got {n}")
     return tuple(range(n, 0, -1))
 
 
@@ -172,7 +172,7 @@ def is_descending_shuffle(w: Perm, p: int) -> bool:
     """True iff the values <= p and the values > p each appear in
     descending order in the one-line notation of w."""
     if not 0 <= p <= len(w):
-        raise ValueError(f"block size p must lie in 0..{len(w)}")
+        raise ValueError(f"block size p must lie in 0..{len(w)}, got {p}")
     low = [x for x in w if x <= p]
     high = [x for x in w if x > p]
     return low == sorted(low, reverse=True) and high == sorted(high, reverse=True)
@@ -182,7 +182,7 @@ def is_ascending_shuffle(w: Perm, p: int) -> bool:
     """True iff the values <= p and the values > p each appear in
     ascending order in the one-line notation of w."""
     if not 0 <= p <= len(w):
-        raise ValueError(f"block size p must lie in 0..{len(w)}")
+        raise ValueError(f"block size p must lie in 0..{len(w)}, got {p}")
     low = [x for x in w if x <= p]
     high = [x for x in w if x > p]
     return low == sorted(low) and high == sorted(high)

@@ -226,7 +226,7 @@ def ascending_shuffles(n: int, p: int) -> list[Perm]:
 
 def _shuffles(n: int, p: int, descending: bool) -> list[Perm]:
     if not 0 <= p <= n:
-        raise ValueError(f"block size p must lie in 0..{n}")
+        raise ValueError(f"block size p must lie in 0..{n}, got {p}")
     low = range(p, 0, -1) if descending else range(1, p + 1)
     high = range(n, p, -1) if descending else range(p + 1, n + 1)
     out = []  # low values are below high ones, so combinations() order is lexicographic

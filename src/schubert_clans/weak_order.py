@@ -28,10 +28,8 @@ the test suite, not computed at run time.
 from __future__ import annotations
 
 import enum
-import functools
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from . import clans, permutations
 from .clans import MINUS, PLUS, Clan
@@ -110,24 +108,14 @@ def act(w: Perm, gamma: Clan) -> Clan:
     return act_word(permutations.reduced_word(w), gamma)
 
 
-class Edge(NamedTuple):
-    src: Clan
-    dst: Clan
-    root: int
-
-
 @dataclass(frozen=True)
 class WeakOrderGraph:
-    """The weak order graph on (p,q)-clans.  Its edges are listed on first
-    access and kept; :func:`iter_edges` gives them one at a time instead."""
+    """The weak order graph on (p,q)-clans.  Its edges are not stored:
+    :func:`iter_edges` makes them one at a time."""
 
     p: int
     q: int
     nodes: tuple[Clan, ...]
-
-    @functools.cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        return tuple(itertools.starmap(Edge, iter_edges(self)))
 
 
 def weak_order_graph(p: int, q: int, guard: int | None = None) -> WeakOrderGraph:

@@ -4,14 +4,16 @@ Shared brute-force oracles and reference algorithms for the test suite.
 Everything here is deliberately independent of the package internals:
 inversions by double loop, Bruhat order by transitive closure of covering
 transpositions and by rank matrices, Monk's rule by explicit transposition
-moves, reduced words by recursion on descents.  Tests compare the library
-against these, never the library against itself.  The exceptions are
-:func:`w_set_scan`, the w-set by its definition, built from the package's
-action and length slices, and :func:`expand_schubert_scan` and
-:func:`reconstruct`, the greedy Schubert expansion by a full scan for each
-leader and its inverse, built from the package's Schubert polynomials,
-and :func:`oracle_product_2n`, the oracle in 2n - 1 variables; those
-pieces are tested on their own.
+moves, reduced words by recursion on descents, polynomial products and
+sums by tuple arithmetic (:func:`poly_mul`, :func:`poly_sum`).  Tests
+compare the library against these, never the library against itself.
+The exceptions are :func:`w_set_scan`, the w-set by its definition, built
+from the package's action and length slices, and
+:func:`expand_schubert_scan` and :func:`reconstruct`, the greedy Schubert
+expansion by a full scan for each leader and its inverse, built from the
+package's Schubert polynomials, and :func:`oracle_product_2n`, the oracle
+in 2n - 1 variables; those pieces are tested on their own, and take
+their products and sums from the tuple arithmetic here.
 """
 
 from __future__ import annotations
@@ -212,15 +214,40 @@ def expand_schubert_scan(poly) -> dict:
     return out
 
 
+def poly_mul(p, q):
+    """The product of two MultiPolys of one arity, by tuple arithmetic:
+    exponent tuples added entry by entry, at any degree."""
+    if p.arity != q.arity:
+        raise ValueError(f"arity mismatch: {p.arity} vs {q.arity}")
+    out = {}
+    for e1, c1 in p.coeffs.items():
+        for e2, c2 in q.coeffs.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return oracle.MultiPoly(p.arity, out)
+
+
+def poly_sum(terms, m):
+    """sum c * P over the (c, P) in terms, P in m variables, by tuple
+    arithmetic."""
+    out = {}
+    for c, poly in terms:
+        if poly.arity != m:
+            raise ValueError(f"arity mismatch: {poly.arity} vs {m}")
+        for exps, d in poly.coeffs.items():
+            out[exps] = out.get(exps, 0) + c * d
+    return oracle.MultiPoly(m, out)
+
+
 def oracle_product_2n(x, y) -> dict:
     """S_x . S_y expanded in 2n - 1 variables, with the product taken by
-    MultiPoly's tuple arithmetic and no degree: the oracle's earlier
-    layout, the reference for its n-variable and degree-n paths."""
+    :func:`poly_mul` and no degree: the oracle's earlier layout, the
+    reference for its n-variable and degree-n paths."""
     n = max(len(x), len(y))
     m = 2 * n - 1
     sx = oracle.schubert_poly(permutations.pad(x, n), m)
     sy = oracle.schubert_poly(permutations.pad(y, n), m)
-    return oracle.expand_schubert(sx * sy)
+    return oracle.expand_schubert(poly_mul(sx, sy))
 
 
 def leading_exponent(poly):
@@ -242,11 +269,9 @@ def vars_needed_scan(coeffs) -> int:
 
 
 def reconstruct(expansion, m):
-    """Sum coeff * S_w back into a polynomial; exact inverse of expansion."""
-    total = oracle.MultiPoly.zero(m)
-    for w, c in expansion.items():
-        total = total + oracle.schubert_poly(w, m) * c
-    return total
+    """Sum coeff * S_w back into a polynomial by :func:`poly_sum`; exact
+    inverse of expansion."""
+    return poly_sum(((c, oracle.schubert_poly(w, m)) for w, c in expansion.items()), m)
 
 
 @pytest.fixture(scope="session")

@@ -164,10 +164,11 @@ def test_criterion_8_graph_structure():
             q = n - p
             graph = W.weak_order_graph(p, q)
             dense = C.dense_clan(p, q)
-            for e in graph.edges:
-                assert C.orbit_dimension(e.dst) == C.orbit_dimension(e.src) + 1
-            targets = {e.dst for e in graph.edges}
-            starts = {e.src for e in graph.edges}
+            edges = list(W.iter_edges(graph))
+            for src, dst, root in edges:
+                assert C.orbit_dimension(dst) == C.orbit_dimension(src) + 1
+            targets = {dst for _, dst, _ in edges}
+            starts = {src for src, _, _ in edges}
             srcs = [g for g in graph.nodes if g not in targets]
             assert all(C.is_sign_only(g) for g in srcs)
             assert len(srcs) == comb(n, p)
@@ -192,7 +193,7 @@ def test_criterion_9_oracle_self_consistency():
         }
         poly = MultiPoly(m, coeffs)
         for i in range(1, m):
-            assert O.divided_difference(i, O.divided_difference(i, poly)) == MultiPoly.zero(m)
+            assert O.divided_difference(i, O.divided_difference(i, poly)) == MultiPoly(m)
         for i in range(1, m - 1):
             aba = O.divided_difference(i, O.divided_difference(i + 1, O.divided_difference(i, poly)))
             bab = O.divided_difference(i + 1, O.divided_difference(i, O.divided_difference(i + 1, poly)))

@@ -160,6 +160,8 @@ def test_is_sign_only():
 def test_enumerate_small():
     assert C.enumerate_clans(1, 1) == [("+", "-"), ("-", "+"), (1, 1)]
     assert len(C.enumerate_clans(2, 2)) == 21
+    with pytest.raises(ValueError, match=r"p \+ q >= 1, got \(0, 0\)"):
+        C.enumerate_clans(0, 0)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import subprocess
@@ -170,6 +171,9 @@ def test_product_parse_error_exits_2(capsys):
     code, _, err = run_cli(capsys, "product", "--x", "31", "--y", "12", "--p", "1")
     assert code == 2
     assert "error:" in err
+    code, out, err = run_cli(capsys, "product", "--x", "3a1", "--y", "123", "--p", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot parse permutation from '3a1'\n"
 
 
 def test_oracle_product_all_terms(capsys):
@@ -180,6 +184,16 @@ def test_oracle_product_all_terms(capsys):
     code, out, _ = run_cli(capsys, "oracle-product", "--x", "21", "--y", "21", "--all-terms")
     assert code == 0
     assert json.loads(out)["output"]["terms"] == [{"coeff": 1, "w": "312"}]
+
+
+def test_oracle_product_text_format(capsys):
+    argv = ("oracle-product", "--x", "132546", "--y", "135624", "--format", "text")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "S_132546 * S_135624 = S_154623 + 2 S_245613 + S_253614\n"
+    # S_21 * S_21 = S_312 has no S_2 part
+    code, out, _ = run_cli(capsys, "oracle-product", "--x", "21", "--y", "21", "--format", "text")
+    assert (code, out) == (0, "S_21 * S_21 = 0\n")
 
 
 def test_clan_of(capsys):
@@ -205,6 +219,8 @@ def test_pair_of(capsys):
     doc = json.loads(out)["output"]
     assert doc["u"] == "365421" and doc["v"] == "142356"
     assert doc["p"] == 3 and doc["q"] == 3
+    code, out, _ = run_cli(capsys, "pair-of", "--clan", "(+,-,1,2,2,1)", "--format", "text")
+    assert (code, out) == (0, "u = 365421, v = 142356\n")
     code, _, err = run_cli(capsys, "pair-of", "--clan", "(1,2,1,2)")
     assert code == 2
     assert "pattern" in err
@@ -491,6 +507,22 @@ def test_clans_listing(capsys):
     assert len(doc["clans"]) == 21
     code, out, _ = run_cli(capsys, "clans", "--p", "1", "--q", "1", "--format", "text")
     assert out == "(+,-)\n(-,+)\n(1,1)\n"
+
+
+@pytest.mark.parametrize("subcommand", ["clans", "graph"])
+def test_listing_past_the_recursion_limit_exits_2(capsys, subcommand):
+    # the clan DFS takes one frame per symbol, 201 here, and the lowered
+    # limit leaves it 150 frames above this test
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        code, out, err = run_cli(
+            capsys, subcommand, "--p", "1", "--q", "200", "--clan-guard", "1000000000"
+        )
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: (1,200)-clans need 201 DFS frames, past the recursion limit ")
 
 
 def test_verify_small(capsys):

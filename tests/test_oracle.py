@@ -19,6 +19,8 @@ from conftest import (
     leading_exponent,
     monk_rule,
     oracle_product_2n,
+    poly_mul,
+    poly_sum,
     reconstruct,
     simple,
     vars_needed_scan,
@@ -35,25 +37,27 @@ def polys(max_arity=5):
     return st.integers(2, max_arity).flatmap(build)
 
 
-# MultiPoly arithmetic
+# MultiPoly, and the tests' tuple arithmetic on it
 
 def test_multipoly_basics():
-    x1 = MultiPoly.variable(1, 2)
-    x2 = MultiPoly.variable(2, 2)
-    assert (x1 + x2).coeffs == {(1, 0): 1, (0, 1): 1}
-    assert (x1 - x1) == MultiPoly.zero(2)
-    assert not (x1 - x1)
-    assert (x1 * x1).coeffs == {(2, 0): 1}
-    assert ((x1 + x2) * x1).coeffs == {(2, 0): 1, (1, 1): 1}
-    assert (3 * x1).coeffs == {(1, 0): 3}
-    assert (x1 * 0) == MultiPoly.zero(2)
-    p = MultiPoly.one(3)
-    assert (p * p) == p
+    x1, x2 = MultiPoly(2, {(1, 0): 1}), MultiPoly(2, {(0, 1): 1})
+    x1_plus_x2 = poly_sum([(1, x1), (1, x2)], 2)
+    assert x1_plus_x2.coeffs == {(1, 0): 1, (0, 1): 1}
+    assert poly_sum([(1, x1), (-1, x1)], 2) == MultiPoly(2)
+    assert poly_mul(x1, x1).coeffs == {(2, 0): 1}
+    assert poly_mul(x1_plus_x2, x1).coeffs == {(2, 0): 1, (1, 1): 1}
+    assert poly_mul(x1, MultiPoly(2)) == MultiPoly(2)
+    p = MultiPoly(3, {(0, 0, 0): 1})
+    assert poly_mul(p, p) == p
+    assert MultiPoly(2) != MultiPoly(3)
+    assert repr(x1_plus_x2) == "MultiPoly(2, {(1, 0): 1, (0, 1): 1})"
     with pytest.raises(ValueError):
-        x1 + MultiPoly.one(3)
+        poly_sum([(1, x1), (1, p)], 2)
     with pytest.raises(ValueError):
+        poly_mul(x1, p)
+    with pytest.raises(ValueError, match=r"exponent vector \(1,\) does not have arity 2"):
         MultiPoly(2, {(1,): 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"negative exponent in \(-1, 0\)"):
         MultiPoly(2, {(-1, 0): 1})
 
 
@@ -68,27 +72,26 @@ def test_multiply_arity_agreement(p, q):
         prod = O.multiply(p, q)
         assert prod.arity == p.arity
         assert all(c != 0 for c in prod.coeffs.values())
-        assert prod == p * q
+        assert prod == poly_mul(p, q)
     else:
         with pytest.raises(ValueError):
             O.multiply(p, q)
 
 
 def test_multiply_beyond_a_byte():
-    # exponents above 255 do not fit the packed product; p * q still takes them
+    # exponents above 255 do not fit the packed product
     p, q = MultiPoly(2, {(200, 1): 1}), MultiPoly(2, {(100, 0): 2, (0, 3): 1})
-    with pytest.raises(ValueError, match="degree at most 255"):
+    with pytest.raises(ValueError, match="degree at most 255, not 301"):
         O.multiply(p, q)
-    assert (p * q).coeffs == {(300, 1): 2, (200, 4): 1}
 
 
 # divided differences
 
 def test_divdiff_basic():
-    x1 = MultiPoly.variable(1, 2)
-    assert O.divided_difference(1, x1) == MultiPoly.one(2)
+    x1 = MultiPoly(2, {(1, 0): 1})
+    assert O.divided_difference(1, x1) == MultiPoly(2, {(0, 0): 1})
     # symmetric input dies: x1*x2 is symmetric in (1, 2)
-    assert O.divided_difference(1, x1 * MultiPoly.variable(2, 2)) == MultiPoly.zero(2)
+    assert O.divided_difference(1, MultiPoly(2, {(1, 1): 1})) == MultiPoly(2)
     # hand value: d_1 (x1^2 x2) = x1 x2
     p = MultiPoly(2, {(2, 1): 1})
     assert O.divided_difference(1, p).coeffs == {(1, 1): 1}
@@ -107,7 +110,7 @@ def test_divdiff_basic():
 def test_divdiff_square_zero(p):
     for i in range(1, p.arity):
         once = O.divided_difference(i, p)
-        assert O.divided_difference(i, once) == MultiPoly.zero(p.arity)
+        assert O.divided_difference(i, once) == MultiPoly(p.arity)
 
 
 @given(polys())
@@ -133,7 +136,7 @@ def test_divdiff_leibniz_degree(p):
 # Schubert polynomials
 
 def test_schubert_poly_examples():
-    assert O.schubert_poly((1, 2, 3), 3) == MultiPoly.one(3)
+    assert O.schubert_poly((1, 2, 3), 3) == MultiPoly(3, {(0, 0, 0): 1})
     assert O.schubert_poly((3, 2, 1), 3).coeffs == {(2, 1, 0): 1}
     assert O.schubert_poly((1, 3, 2), 3).coeffs == {(1, 0, 0): 1, (0, 1, 0): 1}
     assert O.schubert_poly((5, 4, 3, 2, 1), 5).coeffs == {(4, 3, 2, 1, 0): 1}
@@ -216,7 +219,7 @@ def test_code_monomial_is_leading(n):
 def test_expand_examples():
     m = 3
     assert O.expand_schubert(MultiPoly(m, {(1, 0, 0): 1, (0, 1, 0): 1})) == {(1, 3, 2): 1}
-    assert O.expand_schubert(MultiPoly.zero(m)) == {}
+    assert O.expand_schubert(MultiPoly(m)) == {}
     assert O.expand_schubert(MultiPoly(m, {(2, 1, 0): 1})) == {(3, 2, 1): 1}
 
 
@@ -243,7 +246,7 @@ def test_oracle_product_past_a_packed_exponent():
     message = "degree at most 255"
     s_w0 = O.schubert_poly(w0, 17)
     with pytest.raises(ValueError, match=message):
-        O.expand_schubert(s_w0 * s_w0)
+        O.expand_schubert(poly_mul(s_w0, s_w0))
     with pytest.raises(ValueError, match=message):
         O.multiply(s_w0, s_w0)
     with pytest.raises(ValueError, match=message):

@@ -33,8 +33,12 @@ def test_identity_and_longest():
     assert P.length(P.longest(5)) == 10
     with pytest.raises(ValueError):
         P.identity(0)
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        P.longest(0)
     with pytest.raises(ValueError):
         P.perm([1, 1, 3])
+    with pytest.raises(ValueError, match=r"degree n >= 1, got \(\)"):
+        P.perm([])
 
 
 def test_compose():
@@ -211,6 +215,8 @@ def test_ascending_shuffle():
     assert P.is_ascending_shuffle((1, 4, 2, 5, 3), 3)
     assert P.is_ascending_shuffle(P.identity(5), 2)
     assert not P.is_ascending_shuffle((3, 2, 1, 4, 5), 1)
+    with pytest.raises(ValueError, match=r"block size p must lie in 0\.\.2, got 3"):
+        P.is_ascending_shuffle((1, 2), 3)
 
 
 @pytest.mark.parametrize("n,p", [(4, 2), (5, 1), (5, 3)])
@@ -271,6 +277,8 @@ def test_parse_format():
     assert P.parse_perm(P.format_perm(big)) == big
     with pytest.raises(ValueError):
         P.parse_perm("31")
+    with pytest.raises(ValueError, match="cannot parse permutation from '3a1'"):
+        P.parse_perm("3a1")
     with pytest.raises(ValueError):
         P.parse_perm("")
 

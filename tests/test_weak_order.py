@@ -162,11 +162,7 @@ def test_act_rejects_a_non_permutation():
 def test_graph_1_1():
     g = W.weak_order_graph(1, 1)
     assert set(g.nodes) == {("+", "-"), ("-", "+"), (1, 1)}
-    assert len(g.edges) == 2
-    for e in g.edges:
-        assert e.dst == (1, 1)
-        assert e.root == 1
-    assert set(e.src for e in g.edges) == {("+", "-"), ("-", "+")}
+    assert list(W.iter_edges(g)) == [(("+", "-"), (1, 1), 1), (("-", "+"), (1, 1), 1)]
 
 
 @pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (2, 2), (3, 2), (1, 4)])
@@ -176,17 +172,18 @@ def test_graph_structure(p, q):
     g = W.weak_order_graph(p, q)
     n = p + q
     # edges exist exactly for the non-fixed simple actions
-    for e in g.edges:
-        assert W.act_simple(e.root, e.src) == e.dst
-        assert C.orbit_dimension(e.dst) == C.orbit_dimension(e.src) + 1
-    seen = {(e.src, e.root) for e in g.edges}
+    edges = list(W.iter_edges(g))
+    for src, dst, root in edges:
+        assert W.act_simple(root, src) == dst
+        assert C.orbit_dimension(dst) == C.orbit_dimension(src) + 1
+    seen = {(src, root) for src, _, root in edges}
     for gamma in g.nodes:
         for i in range(1, n):
             moved = W.act_simple(i, gamma)
             assert ((gamma, i) in seen) == (moved != gamma)
     # sources are the sign-only clans, the unique sink is the dense clan
-    targets = {e.dst for e in g.edges}
-    starts = {e.src for e in g.edges}
+    targets = {dst for _, dst, _ in edges}
+    starts = {src for src, _, _ in edges}
     srcs = [gamma for gamma in g.nodes if gamma not in targets]
     assert all(C.is_sign_only(gamma) for gamma in srcs)
     assert len(srcs) == comb(n, p)
@@ -198,8 +195,8 @@ def test_graph_acyclic_paths_end_dense():
     # dimension increases along edges, so the graph is acyclic and every
     # maximal path stops at the unique sink
     outgoing = {}
-    for e in g.edges:
-        outgoing.setdefault(e.src, []).append(e.dst)
+    for src, dst, root in W.iter_edges(g):
+        outgoing.setdefault(src, []).append(dst)
     dense = C.dense_clan(2, 2)
     for gamma in g.nodes:
         frontier = {gamma}
@@ -233,8 +230,8 @@ def test_graph_exports():
 def test_edges_are_the_streamed_edges():
     g = W.weak_order_graph(3, 2)
     streamed = list(W.iter_edges(g))
-    assert [tuple(e) for e in g.edges] == streamed
-    assert g.edges is g.edges  # listed once, then kept
+    # made afresh on each walk
+    assert list(W.iter_edges(g)) == streamed
     # clans in node order, each clan's roots ascending
     rank = {gamma: k for k, gamma in enumerate(g.nodes)}
     assert streamed == sorted(streamed, key=lambda e: (rank[e[0]], e[2]))
