@@ -236,7 +236,8 @@ def cmd_verify(args) -> tuple[str, int]:
     )
     mismatches = []
     by_p = {}
-    for p, u, v in itertools.islice(pairs, args.max_cases):
+    # a count past sys.maxsize, which islice refuses, still means every pair
+    for p, u, v in itertools.islice(pairs, min(args.max_cases or sys.maxsize, sys.maxsize)):
         x = permutations.compose(permutations.longest(n), u)
         fast = richardson.special_product(x, v, p)
         slow = oracle.oracle_product(x, v, n)

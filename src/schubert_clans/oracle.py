@@ -22,8 +22,8 @@ integer addition, and a monomial is the same int at every arity.
 oracle_product runs on these packed ints from start to finish: the cached
 S_x and S_y, their product and the greedy's working polynomial are all
 dicts keyed by packed monomials.  schubert_poly, multiply and
-expand_schubert are the MultiPoly API over the same kernels: each packs
-its input, runs a kernel and unpacks the result.
+expand_schubert, which the benchmark reads and traces, wrap the same
+kernels for the MultiPoly container: each packs, runs a kernel, unpacks.
 
 A product of x, y in S_n needs n variables.  S_x and S_y lie in
 Z[x_1..x_{n-1}], and the S_w with last descent at most n - 1 form a Z-basis
@@ -105,10 +105,6 @@ class MultiPoly:
     def __repr__(self) -> str:
         return f"MultiPoly({self.arity}, {self.coeffs})"
 
-    def _check_arity(self, other: "MultiPoly") -> None:
-        if self.arity != other.arity:
-            raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-
     @classmethod
     def _raw(cls, arity: int, coeffs: dict[ExpVec, int]) -> "MultiPoly":
         poly = cls.__new__(cls)
@@ -123,7 +119,8 @@ def multiply(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     Taken on packed monomials, so the product's degree must stay below
     256, the most a packed exponent holds.
     """
-    p._check_arity(q)
+    if p.arity != q.arity:
+        raise ValueError(f"arity mismatch: {p.arity} vs {q.arity}")
     _require_byte_degree(max(map(sum, p.coeffs), default=0) + max(map(sum, q.coeffs), default=0))
     return MultiPoly._raw(p.arity, _unpack(_multiply_packed(_pack_coeffs(p), _pack_coeffs(q)), p.arity))
 
@@ -143,22 +140,10 @@ def _multiply_packed(p: Mapping[int, int], q: Mapping[int, int]) -> dict[int, in
     return out
 
 
-def divided_difference(i: int, p: MultiPoly) -> MultiPoly:
-    """The operator (P - s_i P) / (x_i - x_{i+1}), which always divides exactly.
-
-    Monomial-wise: x_i^a x_{i+1}^b with a > b maps to the geometric sum
-    x_i^(a-1) x_{i+1}^b + x_i^(a-2) x_{i+1}^(b+1) + ... + x_i^b x_{i+1}^(a-1),
-    with the mirrored negative sum for a < b and 0 for a = b.
-    """
-    if not 1 <= i <= p.arity - 1:
-        raise IndexError(f"divided difference index must lie in 1..{p.arity - 1}")
-    if max(map(max, p.coeffs), default=0) > 255:
-        raise ValueError("divided_difference takes exponents of at most 255")
-    return MultiPoly._raw(p.arity, _unpack(_divdiff(_pack_coeffs(p), i - 1), p.arity))
-
-
 def _divdiff(coeffs: Mapping[int, int], k: int) -> dict[int, int]:
-    """divided_difference on packed monomials; k is 0-indexed."""
+    """(P - s_i P) / (x_i - x_(i+1)) on packed monomials, i = k + 1: x_i^a
+    x_(i+1)^b goes to x_i^(a-1) x_(i+1)^b + ... + x_i^b x_(i+1)^(a-1) for
+    a > b, to the mirrored negative sum for a < b, and to 0 for a = b."""
     shift = 8 * k
     step = 255 << shift  # x_(k+1)^-1 x_(k+2), packed
     out: dict[int, int] = {}
@@ -281,7 +266,7 @@ def _first_outside_box(exps: bytes, n: int) -> int | None:
     return None
 
 
-def expand_schubert(p: MultiPoly, degree: int | None = None) -> dict[Perm, int]:
+def expand_schubert(p: MultiPoly) -> dict[Perm, int]:
     """Write P as a sum of Schubert polynomials and return {w: coeff}.
 
     Greedy: the leading exponent vector is read as a Lehmer code, naming the
@@ -290,17 +275,9 @@ def expand_schubert(p: MultiPoly, degree: int | None = None) -> dict[Perm, int]:
     is allowed and may produce signed output.  Every monomial the greedy
     meets has the degree of one of P's, so P's degrees must stay below 256,
     the most a packed exponent holds.
-
-    With a degree n (at least P's arity), only the terms with w in S_n are
-    computed: the greedy works modulo I_n = (e_1, ..., e_n) as the module
-    docstring describes, and cancels a leader outside the staircase box by
-    an element of I_n instead of by an S_w with w outside S_n.
     """
-    m = p.arity
-    if degree is not None and degree < m:
-        raise ValueError(f"degree {degree} is below the arity {m}")
     _require_byte_degree(max(map(sum, p.coeffs), default=0))
-    return _expand_packed(_pack_coeffs(p), m, degree)
+    return _expand_packed(_pack_coeffs(p), p.arity, None)
 
 
 def _require_byte_degree(degree: int) -> None:
@@ -311,6 +288,7 @@ def _require_byte_degree(degree: int) -> None:
 
 def _expand_packed(work: dict[int, int], m: int, degree: int | None) -> dict[Perm, int]:
     """expand_schubert on packed monomials in m variables, consuming work.
+    With a degree n >= m it keeps to S_n, working modulo I_n (module docstring).
 
     The leaders come off a heap, which the module docstring's fact makes
     sound: a key is pushed when it enters the working polynomial and

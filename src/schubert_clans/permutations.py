@@ -70,16 +70,9 @@ def compose(a: Perm, b: Perm) -> Perm:
     """
     if len(a) != len(b):
         raise ValueError(f"degree mismatch: {len(a)} vs {len(b)}")
-    # once b's values lie in 1..n, a o b is a permutation exactly when a
-    # and b both are, so one check of the result covers both arguments
-    try:
-        out = tuple([a[v - 1] for v in b]) if not b or min(b) >= 1 else None
-    except IndexError:
-        out = None
-    if out is None or not is_perm(out):
-        require_perm("a", a)
-        require_perm("b", b)
-    return out
+    require_perm("a", a)
+    require_perm("b", b)
+    return tuple([a[v - 1] for v in b])
 
 
 def bruhat_leq(u: Perm, v: Perm) -> bool:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Generator, Iterator, Sequence
 
 from . import clans, permutations
 from .clans import MINUS, PLUS, Clan
@@ -192,9 +192,24 @@ def w_set_table_size() -> int:
     return _W_SET_TABLE.weight
 
 
-def _descend(clan: Clan, dense: Clan, n: int) -> tuple[Perm, ...]:
-    """W(clan) from the table, computing and storing it, and the w-sets of
-    the clans above it, when missing."""
+def _descend(gamma: Clan, dense: Clan, n: int) -> tuple[Perm, ...]:
+    """W(gamma) from the table, computing and storing it, and the w-sets of
+    the clans above it, when missing.  The clans open on the way up can
+    outnumber the recursion limit, so each is a generator on a stack."""
+    stack, got = [_climb(gamma, dense, n)], None
+    while stack:
+        try:
+            stack.append(_climb(stack[-1].send(got), dense, n))
+            got = None
+        except StopIteration as done:
+            stack.pop()
+            got = done.value
+    return got
+
+
+def _climb(clan: Clan, dense: Clan, n: int) -> Generator[Clan, tuple[Perm, ...], tuple[Perm, ...]]:
+    """W(clan), for :func:`_descend`: yields each clan above whose w-set is
+    not stored, and is sent that w-set back."""
     got = _W_SET_TABLE.get(clan)
     if got is not None:
         return got
@@ -205,7 +220,7 @@ def _descend(clan: Clan, dense: Clan, n: int) -> tuple[Perm, ...]:
         up = act_simple(i, clan)
         if up == clan:
             continue
-        for w in _descend(up, dense, n):
+        for w in _W_SET_TABLE.get(up) or (yield up):
             if w[i - 1] < w[i]:
                 acc.add(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :])
     return _W_SET_TABLE.put(clan, tuple(sorted(acc)))

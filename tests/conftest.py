@@ -5,7 +5,8 @@ Everything here is deliberately independent of the package internals:
 inversions by double loop, Bruhat order by transitive closure of covering
 transpositions and by rank matrices, Monk's rule by explicit transposition
 moves, reduced words by recursion on descents, polynomial products and
-sums by tuple arithmetic (:func:`poly_mul`, :func:`poly_sum`).  Tests
+sums by tuple arithmetic (:func:`poly_mul`, :func:`poly_sum`), and the
+divided difference by its definition (:func:`divided_difference`).  Tests
 compare the library against these, never the library against itself.
 The exceptions are :func:`w_set_scan`, the w-set by its definition, built
 from the package's action and length slices, and
@@ -14,6 +15,9 @@ expansion by a full scan for each leader and its inverse, built from the
 package's Schubert polynomials, and :func:`oracle_product_2n`, the oracle
 in 2n - 1 variables; those pieces are tested on their own, and take
 their products and sums from the tuple arithmetic here.
+:func:`packed_divdiff` and :func:`packed_expand` are no references: they
+hand a ``MultiPoly`` to the oracle's private kernels, for the tests that
+pin properties of those kernels.
 """
 
 from __future__ import annotations
@@ -237,6 +241,48 @@ def poly_sum(terms, m):
         for exps, d in poly.coeffs.items():
             out[exps] = out.get(exps, 0) + c * d
     return oracle.MultiPoly(m, out)
+
+
+def divided_difference(i, poly):
+    """(P - s_i P) / (x_i - x_{i+1}) on P = poly, a dict {exponent tuple:
+    int}, by its definition: s_i P swaps x_i and x_{i+1}, and the quotient
+    comes by long division in x_i, which must leave no remainder."""
+    num = dict(poly)
+    for exps, c in poly.items():
+        swapped = exps[: i - 1] + (exps[i], exps[i - 1]) + exps[i + 1 :]
+        num[swapped] = num.get(swapped, 0) - c
+    num = {exps: c for exps, c in num.items() if c}
+    quotient = {}
+    while num:
+        # x^a = x^(a - e_i) (x_i - x_{i+1}) + x^(a - e_i + e_{i+1})
+        lead = max(num, key=lambda exps: exps[i - 1])
+        c = num.pop(lead)
+        if not lead[i - 1]:
+            raise ArithmeticError(f"x_{i} - x_{i + 1} leaves the remainder {c} x^{lead}")
+        down = lead[: i - 1] + (lead[i - 1] - 1,) + lead[i:]
+        quotient[down] = quotient.get(down, 0) + c
+        across = down[:i] + (down[i] + 1,) + down[i + 1 :]
+        num[across] = num.get(across, 0) + c
+        if not num[across]:
+            del num[across]
+    return {exps: c for exps, c in quotient.items() if c}
+
+
+def _packed(poly):
+    return {oracle._pack(exps): c for exps, c in poly.coeffs.items()}
+
+
+def packed_divdiff(i, poly):
+    """The oracle's kernel _divdiff as the operator d_i on a MultiPoly."""
+    m = poly.arity
+    out = oracle._divdiff(_packed(poly), i - 1)
+    return oracle.MultiPoly(m, {tuple(v.to_bytes(m, "little")): c for v, c in out.items()})
+
+
+def packed_expand(poly, degree):
+    """The oracle's greedy kernel _expand_packed on a MultiPoly, keeping
+    only the terms in S_degree."""
+    return oracle._expand_packed(_packed(poly), poly.arity, degree)
 
 
 def oracle_product_2n(x, y) -> dict:

@@ -22,11 +22,10 @@ UNREFERENCED_PUBLIC = {
     "clans.is_sign_only": "paper object: the clans of the closed orbits",
     "permutations.code": "the Lehmer code that names the oracle's leading terms",
     "permutations.inverse": "basic operation of the permutation API",
-    "oracle.divided_difference": "the operator that defines Schubert polynomials",
     # the MultiPoly wrappers over the kernels oracle_product runs on
-    "oracle.schubert_poly": "public MultiPoly API; the tests' 2n - 1 reference and the benchmark use it",
-    "oracle.multiply": "public MultiPoly API; the tests' uncut greedy uses it, the benchmark traces it",
-    "oracle.expand_schubert": "public MultiPoly API; the 2n - 1 reference uses it, the benchmark traces it",
+    "oracle.schubert_poly": "kept only for perfbench, which reads its coeffs and traces it",
+    "oracle.multiply": "kept only for perfbench, which traces it",
+    "oracle.expand_schubert": "kept only for perfbench, which traces it",
     "richardson.shuffles_comparable": "the paper's comparability test for shuffle pairs",
     "richardson.structure_constant": "the paper's c_{u,v}^w for one w",
     "weak_order.classify_root": "the benchmark traces it by name",

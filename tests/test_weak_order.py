@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 import sys
@@ -355,6 +356,20 @@ def test_w_set_repeat_after_the_table_overflows(monkeypatch):
 
     monkeypatch.setattr(W, "act_simple", no_action)
     assert W.w_set(gamma) == first
+
+
+def test_w_set_past_the_recursion_limit():
+    # the descent from +-^199 holds 199 clans open on its way up to the
+    # dense clan, and the lowered limit leaves it 150 frames above this test
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    W.clear_w_set_table()
+    try:
+        got = W.w_set(("+",) + ("-",) * 199, guard=200)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == [(200,) + tuple(range(1, 200))]
+    assert W.w_set_table_size() == 200
 
 
 def test_w_set_table_shared_by_threads(monkeypatch):
