@@ -42,6 +42,17 @@ so it lies in I_n, and the product's leader is x^a with coefficient 1.
 Z[x_1..x_n] / I_n is 0 above degree n(n-1)/2, so a longer product has no
 S_n part at all.
 
+Most of those ideal steps need not happen.  For k <= n, x_k is a root of
+prod_i (t - x_i) = t^n - e_1 t^(n-1) + ... + (-1)^n e_n, so x_k^n lies in
+I_n, and so does every monomial with an exponent >= n.  For n <= 128 the
+degree-n greedy drops such a monomial when it comes off the heap instead
+of reducing it, and never inserts one when it subtracts an element of
+I_n; it thereby subtracts another element of I_n, which removes
+monomials and adds none, so the leaders stay in heap order.  The test is
+one add and one AND on the packed int, sound while every byte stays
+below 128 + n (see _expand_packed); past n = 128 its bias would be
+negative, so larger degrees keep every monomial.
+
 The degree-n path cuts sharper than that, on one standard fact: the S_n
 part of S_x . S_y is nonzero exactly when x <= w0 y in Bruhat order.
 Z[x_1..x_n] / I_n is the cohomology ring of the flag variety, where
@@ -294,7 +305,25 @@ def _expand_packed(work: dict[int, int], m: int, degree: int | None) -> dict[Per
     sound: a key is pushed when it enters the working polynomial and
     skipped when it is popped after it has cancelled.  The elements of I_n
     obey the same fact.
+
+    With a degree n <= 128 a monomial with an exponent >= n, which lies in
+    I_n, is dropped as a leader and never inserted by an ideal step, so
+    such monomials come only from work as given, and nothing changes them
+    before they come off the heap.  Dropping them there rather than in a
+    pass over work costs nothing on products that have none.  One add and
+    one AND find them: with a byte of 128 - n added to each exponent, the
+    top bit of a byte is set exactly when its exponent is >= n.  That
+    holds while no byte carries, so work's exponents must stay below
+    128 + n; they stay below 2n: S_x . S_y for x, y in S_n has them at
+    most 2n - 2, the S_w steps (w in S_n) add monomials of the staircase
+    box, and an ideal step adds at most n - 1 to an exponent below n.
+    Past 128 the bias would be negative, so nothing is dropped there.
     """
+    if degree is not None and degree <= 128:
+        ones = int.from_bytes(b"\1" * m, "little")
+        bias, mask = (128 - degree) * ones, 128 * ones
+    else:
+        bias = mask = 0
     heap = [-v for v in work]
     heapq.heapify(heap)
     out: dict[Perm, int] = {}
@@ -303,23 +332,37 @@ def _expand_packed(work: dict[int, int], m: int, degree: int | None) -> dict[Per
         c = work.get(v)
         if c is None:
             continue
+        if (v + bias) & mask:
+            del work[v]
+            continue
         exps = v.to_bytes(m, "little")
         k = None if degree is None else _first_outside_box(exps, degree)
         if k is None:
             w = permutations.code_to_perm(tuple(exps.rstrip(b"\0")))
             out[w] = out.get(w, 0) + c
-            terms = _schubert_coeffs(w).items()
+            for se, sc in _schubert_coeffs(w).items():
+                drop, old = c * sc, work.get(se)
+                if old is None:
+                    work[se] = -drop
+                    heapq.heappush(heap, -se)
+                elif old == drop:
+                    del work[se]
+                else:
+                    work[se] = old - drop
         else:
-            terms = ((v + shift, 1) for shift in _box_reducer(k + 1, degree))
-        for se, sc in terms:
-            drop, old = c * sc, work.get(se)
-            if old is None:
-                work[se] = -drop
-                heapq.heappush(heap, -se)
-            elif old == drop:
-                del work[se]
-            else:
-                work[se] = old - drop
+            # every monomial of the ideal element has coefficient 1
+            for shift in _box_reducer(k + 1, degree):
+                se = v + shift
+                if (se + bias) & mask:
+                    continue
+                old = work.get(se)
+                if old is None:
+                    work[se] = -c
+                    heapq.heappush(heap, -se)
+                elif old == c:
+                    del work[se]
+                else:
+                    work[se] = old - c
         if v in work:
             raise AssertionError("leading term failed to cancel")
     return out

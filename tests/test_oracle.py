@@ -293,6 +293,28 @@ def test_box_reducers_lie_in_the_coinvariant_ideal(n):
         assert packed_expand(h, n) == {}
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_powers_past_the_box_lie_in_the_coinvariant_ideal(n):
+    # x_k^n has no S_n part, which lets the degree-n greedy drop every
+    # monomial with an exponent >= n; the full expansion shows it
+    for k in range(1, n + 1):
+        power = MultiPoly(n, {tuple(n if i == k - 1 else 0 for i in range(n)): 1})
+        expansion = O.expand_schubert(power)
+        assert expansion and all(len(P.trim(w)) > n for w in expansion), (n, k)
+
+
+def test_oracle_product_past_degree_128():
+    # above 128 the greedy drops nothing (its byte bias would be negative),
+    # and the S_n part is the same as in small degree
+    def trimmed(expansion):
+        return {P.trim(w): c for w, c in expansion.items()}
+
+    assert trimmed(O.oracle_product((2, 1), (2, 1), 130)) == {(3, 1, 2): 1}
+    for degree in (128, 130, 200):
+        got = trimmed(O.oracle_product((1, 3, 2), (1, 3, 2), degree))
+        assert got == {(1, 4, 2, 3): 1, (2, 3, 1): 1}, degree
+
+
 def test_expand_signed_input():
     m = 3
     p = MultiPoly(m, {(1, 0, 0): 2, (0, 1, 0): -3})
@@ -443,7 +465,7 @@ def test_degree_cut_s4(monkeypatch):
 
 def test_bruhat_cut_skips_the_multiply(monkeypatch):
     # l(x) + l(y) = 24 <= 28 passes the degree cut, but x is not below w0 y;
-    # the uncut greedy spends 378 ideal steps to reach {}
+    # the uncut greedy spends 160 ideal steps to reach {}
     x, y = (1, 4, 5, 6, 7, 8, 2, 3), (6, 5, 3, 2, 4, 7, 1, 8)
     assert P.length(x) + P.length(y) == 24
     assert not P.bruhat_leq(x, w0_times(y))
