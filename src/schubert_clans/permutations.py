@@ -57,9 +57,7 @@ def longest(n: int) -> Perm:
     >>> longest(5)
     (5, 4, 3, 2, 1)
     """
-    if n < 1:
-        raise ValueError(f"degree must be >= 1, got {n}")
-    return tuple(range(n, 0, -1))
+    return identity(n)[::-1]
 
 
 def compose(a: Perm, b: Perm) -> Perm:
@@ -163,12 +161,8 @@ def reduced_word(w: Perm) -> tuple[int, ...]:
 
 def is_descending_shuffle(w: Perm, p: int) -> bool:
     """True iff the values <= p and the values > p each appear in
-    descending order in the one-line notation of w."""
-    if not 0 <= p <= len(w):
-        raise ValueError(f"block size p must lie in 0..{len(w)}, got {p}")
-    low = [x for x in w if x <= p]
-    high = [x for x in w if x > p]
-    return low == sorted(low, reverse=True) and high == sorted(high, reverse=True)
+    descending order in w, i.e. w read backwards is an ascending shuffle."""
+    return is_ascending_shuffle(w[::-1], p)
 
 
 def is_ascending_shuffle(w: Perm, p: int) -> bool:
@@ -190,28 +184,16 @@ def enumerate_by_length(n: int, k: int, guard: int | None = None) -> list[Perm]:
     check_guard(n, guard, DEFAULT_PERM_GUARD, f"enumerate_by_length over S_{n}")
     if k < 0 or k > n * (n - 1) // 2:
         return []
-
-    # tail_room[i] = max inversions contributable by positions > i (0-based)
-    tail_room = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        tail_room[i] = tail_room[i + 1] + (n - 1 - i)
-
-    out: list[Perm] = []
-    prefix = [0] * n
-
-    def fill(i: int, remaining: int) -> None:
-        if i == n:
-            out.append(code_to_perm(tuple(prefix)))
-            return
-        hi = min(n - 1 - i, remaining)
-        lo = max(0, remaining - tail_room[i + 1])
-        for c in range(lo, hi + 1):
-            prefix[i] = c
-            fill(i + 1, remaining - c)
-        prefix[i] = 0
-
-    fill(0, k)
-    return out
+    # a prefix carries what it has left to place; later positions add <= room
+    prefixes: list[tuple[tuple[int, ...], int]] = [((), k)]
+    for i in range(n):
+        room = (n - 1 - i) * (n - 2 - i) // 2
+        prefixes = [
+            (prefix + (x,), left - x)
+            for prefix, left in prefixes
+            for x in range(max(0, left - room), min(n - 1 - i, left) + 1)
+        ]
+    return [code_to_perm(prefix) for prefix, _ in prefixes]
 
 
 def trim(w: Perm) -> Perm:

@@ -215,24 +215,18 @@ def structure_constant(x: Perm, y: Perm, w: Perm, p: int) -> int:
 
 
 def descending_shuffles(n: int, p: int) -> list[Perm]:
-    """All C(n,p) descending shuffles at p, in lexicographic order."""
-    return _shuffles(n, p, descending=True)
+    """All C(n,p) descending shuffles at p (ascending ones read backwards), sorted."""
+    return sorted(w[::-1] for w in ascending_shuffles(n, p))
 
 
 def ascending_shuffles(n: int, p: int) -> list[Perm]:
     """All C(n,p) ascending shuffles at p, in lexicographic order."""
-    return _shuffles(n, p, descending=False)
-
-
-def _shuffles(n: int, p: int, descending: bool) -> list[Perm]:
     if not 0 <= p <= n:
         raise ValueError(f"block size p must lie in 0..{n}, got {p}")
-    low = range(p, 0, -1) if descending else range(1, p + 1)
-    high = range(n, p, -1) if descending else range(p + 1, n + 1)
     out = []  # low values are below high ones, so combinations() order is lexicographic
     for low_positions in combinations(range(n), p):
         w = [0] * n
-        low_iter, high_iter = iter(low), iter(high)
+        low_iter, high_iter = iter(range(1, p + 1)), iter(range(p + 1, n + 1))
         low_set = set(low_positions)
         for pos in range(n):
             w[pos] = next(low_iter) if pos in low_set else next(high_iter)

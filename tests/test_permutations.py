@@ -1,4 +1,6 @@
+import inspect
 import math
+import sys
 from math import comb
 
 import pytest
@@ -219,7 +221,7 @@ def test_ascending_shuffle():
         P.is_ascending_shuffle((1, 2), 3)
 
 
-@pytest.mark.parametrize("n,p", [(4, 2), (5, 1), (5, 3)])
+@pytest.mark.parametrize("n,p", [(4, 2), (5, 0), (5, 1), (5, 3), (5, 5)])
 def test_shuffles_against_brute_force(n, p):
     def desc(w):
         low = [x for x in w if x <= p]
@@ -248,7 +250,7 @@ def test_enumerate_by_length():
     assert P.enumerate_by_length(3, 7) == []
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_enumerate_by_length_against_filter(n):
     total = 0
     for k in range(n * (n - 1) // 2 + 1):
@@ -257,6 +259,19 @@ def test_enumerate_by_length_against_filter(n):
         assert got == want  # content and deterministic lexicographic order
         total += len(got)
     assert total == math.factorial(n)
+
+
+def test_enumerate_by_length_past_the_recursion_limit():
+    # the slice is built a position at a time, so its depth does not grow
+    # with n; the lowered limit leaves 150 frames above this test
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        got = P.enumerate_by_length(300, 1, guard=300)
+    finally:
+        sys.setrecursionlimit(limit)
+    # the 299 simple transpositions, s_299 first in lexicographic order
+    assert got == [word_to_perm((i,), 300) for i in range(299, 0, -1)]
 
 
 def test_enumerate_guard():

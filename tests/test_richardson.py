@@ -8,7 +8,7 @@ from schubert_clans import oracle as O
 from schubert_clans import permutations as P
 from schubert_clans import richardson as R
 
-from conftest import bruhat_leq_rank, inversions, word_to_perm
+from conftest import all_perms, bruhat_leq_rank, inversions, word_to_perm
 
 
 def shuffle_pairs(n, p):
@@ -260,9 +260,11 @@ def test_shuffle_listings():
     assert len(R.descending_shuffles(5, 3)) == 10
     assert all(P.is_descending_shuffle(u, 3) for u in R.descending_shuffles(5, 3))
     assert all(P.is_ascending_shuffle(v, 2) for v in R.ascending_shuffles(5, 2))
-    # the listings follow combinations() of the low positions, unsorted
-    for n in range(1, 9):
+    # each listing is the lexicographic filter of S_n, complete and in order
+    for n in range(1, 7):
         for p in range(n + 1):
-            for listing in (R.descending_shuffles(n, p), R.ascending_shuffles(n, p)):
-                assert listing == sorted(listing)
-                assert len(set(listing)) == len(listing)
+            blocks = {w: ([x for x in w if x <= p], [x for x in w if x > p]) for w in all_perms(n)}
+            down = (list(range(p, 0, -1)), list(range(n, p, -1)))
+            up = (list(range(1, p + 1)), list(range(p + 1, n + 1)))
+            assert R.descending_shuffles(n, p) == [w for w, b in blocks.items() if b == down]
+            assert R.ascending_shuffles(n, p) == [w for w, b in blocks.items() if b == up]

@@ -37,6 +37,14 @@ UNREFERENCED_PUBLIC = {
     "oracle.schubert_cache_size": "public API: polynomials the shared Schubert cache stores",
 }
 
+# Functions that call themselves by name, each kept for the reason given.
+# The Python stack bounds their depth, so a new one must say why its depth
+# stays small.
+RECURSIVE = {
+    "clans.enumerate_clans.fill": "a RecursionError becomes a ValueError, and sign-only shapes are answered before the DFS",
+    "cli._write": "its depth is the report's nesting",
+}
+
 
 def test_no_assert_statements():
     # `python -O` strips assert statements, so internal invariants must
@@ -88,6 +96,23 @@ def test_traced_names_exist():
     ]
     assert missing == []
     assert hasattr(schubert_clans.oracle, "_SCHUBERT_CACHE")
+
+
+def test_recursion_is_listed():
+    found = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        stack = [(path.stem, ast.parse(path.read_text(), filename=str(path)))]
+        while stack:
+            prefix, node = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                name = prefix
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    name = f"{prefix}.{child.name}"
+                    calls = {getattr(c.func, "id", None) for c in ast.walk(child) if isinstance(c, ast.Call)}
+                    if not isinstance(child, ast.ClassDef) and child.name in calls:
+                        found.add(name)
+                stack.append((name, child))
+    assert sorted(found) == sorted(RECURSIVE)
 
 
 def _references(module, tree, modules):
