@@ -599,3 +599,19 @@ def test_cli_digest_small_groups_match_the_committed_file():
         assert digest.digest_group(digest.GROUPS[name]) == want[name], name
     argv = ("clan-of", "--u", "21", "--v", "12", "--p", "1", "--format", "text")
     assert digest.run_call(argv) == [list(argv), 0, "(1,1)\n", ""]
+
+
+def test_peak_rss_tool_passes_output_and_status_through():
+    # CI's bounded steps run through tools/peak_rss.py: the child's stdout
+    # stays its own, a failing child's status comes back, and a bound fails
+    tool = Path(__file__).resolve().parent.parent / "tools" / "peak_rss.py"
+
+    def run(bound, code):
+        argv = [sys.executable, str(tool), bound, sys.executable, "-c", code]
+        return subprocess.run(argv, capture_output=True, text=True)
+
+    proc = run("1000", "print('report')")
+    assert (proc.returncode, proc.stdout) == (0, "report\n")
+    assert "exit 0" in proc.stderr and "peak RSS" in proc.stderr
+    assert run("1000", "raise SystemExit(3)").returncode == 3
+    assert run("0", "pass").returncode == 1

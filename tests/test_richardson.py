@@ -268,3 +268,9 @@ def test_shuffle_listings():
             up = (list(range(1, p + 1)), list(range(p + 1, n + 1)))
             assert R.descending_shuffles(n, p) == [w for w, b in blocks.items() if b == down]
             assert R.ascending_shuffles(n, p) == [w for w, b in blocks.items() if b == up]
+    # past the brute force, each listing is still sorted and free of repeats
+    for n in (7, 8):
+        for p in range(n + 1):
+            for listing in (R.descending_shuffles(n, p), R.ascending_shuffles(n, p)):
+                assert listing == sorted(listing)
+                assert len(set(listing)) == len(listing)
