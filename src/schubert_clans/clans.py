@@ -311,7 +311,8 @@ def enumerate_clans(p: int, q: int, guard: int | None = None) -> list[Clan]:
 def count_clans(p: int, q: int) -> int:
     """Closed-form count: sum over k pairs of C(n,2k) (2k-1)!! C(n-2k, p-k).
 
-    Independent of :func:`enumerate_clans`; used to cross-check it.
+    Independent of :func:`enumerate_clans`: the clan guard sizes a listing
+    by it before any clan is made, and the tests cross-check the two.
     """
     n = p + q
     total = 0

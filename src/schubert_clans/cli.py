@@ -148,8 +148,8 @@ def _expansion_text(x, y, expansion) -> str:
 
 
 def cmd_product(args) -> tuple[str, int]:
-    x = permutations.parse_perm(args.x)
-    y = permutations.parse_perm(args.y)
+    x = permutations.parse_perm(args.x, "x")
+    y = permutations.parse_perm(args.y, "y")
     expansion = richardson.special_product(x, y, args.p, guard=args.perm_guard)
     checked = {}
     status = 0
@@ -171,8 +171,8 @@ def cmd_product(args) -> tuple[str, int]:
 
 
 def cmd_oracle_product(args) -> tuple[str, int]:
-    x = permutations.parse_perm(args.x)
-    y = permutations.parse_perm(args.y)
+    x = permutations.parse_perm(args.x, "x")
+    y = permutations.parse_perm(args.y, "y")
     n = max(len(x), len(y))
     expansion = oracle.oracle_product(x, y, None if args.all_terms else n)
     if args.format == "text":
@@ -181,8 +181,8 @@ def cmd_oracle_product(args) -> tuple[str, int]:
 
 
 def cmd_clan_of(args) -> tuple[str, int]:
-    u = permutations.parse_perm(args.u)
-    v = permutations.parse_perm(args.v)
+    u = permutations.parse_perm(args.u, "u")
+    v = permutations.parse_perm(args.v, "v")
     gamma = richardson.clan_of_pair(u, v, args.p)
     if args.format == "text":
         return clans.format_clan(gamma) + "\n", 0

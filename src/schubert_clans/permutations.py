@@ -13,36 +13,18 @@ comma-separated ``"3,5,2,4,1"`` for larger n; both are accepted on input.
 from __future__ import annotations
 
 import bisect
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .guards import DEFAULT_PERM_GUARD, check_guard
 
 Perm = tuple[int, ...]
 
 
-def is_perm(values: Sequence[int]) -> bool:
-    """True iff ``values`` lists each of 1..n exactly once."""
-    return sorted(values) == list(range(1, len(values) + 1))
-
-
 def require_perm(name: str, w: Perm) -> None:
-    """Raise ValueError naming the argument ``name`` unless w is a permutation."""
-    if not is_perm(w):
+    """Raise ValueError naming the argument ``name`` unless w lists each
+    of 1..n exactly once."""
+    if sorted(w) != list(range(1, len(w) + 1)):
         raise ValueError(f"{name} = {format_perm(w)} is not a permutation of 1..{len(w)}")
-
-
-def perm(values: Iterable[int]) -> Perm:
-    """Validate one-line notation and return it as a tuple.
-
-    >>> perm([3, 1, 2])
-    (3, 1, 2)
-    """
-    w = tuple(values)
-    if not w:
-        raise ValueError(f"a permutation needs degree n >= 1, got {w}")
-    if not is_perm(w):
-        raise ValueError(f"{w} is not a permutation of 1..{len(w)}")
-    return w
 
 
 def identity(n: int) -> Perm:
@@ -215,8 +197,9 @@ def pad(w: Perm, n: int) -> Perm:
     return tuple(w) + tuple(range(len(w) + 1, n + 1))
 
 
-def parse_perm(text: str) -> Perm:
-    """Parse one-line notation, compact (``35241``) or comma-separated.
+def parse_perm(text: str, name: str = "w") -> Perm:
+    """Parse one-line notation, compact (``35241``) or comma-separated;
+    errors name the argument ``name``.
 
     >>> parse_perm("3,5,2,4,1")
     (3, 5, 2, 4, 1)
@@ -229,10 +212,11 @@ def parse_perm(text: str) -> Perm:
     else:
         parts = list(text)
     try:
-        values = [int(part) for part in parts]
+        w = tuple([int(part) for part in parts])
     except ValueError:
-        raise ValueError(f"cannot parse permutation from {text!r}") from None
-    return perm(values)
+        raise ValueError(f"cannot parse {name} from {text!r}") from None
+    require_perm(name, w)
+    return w
 
 
 def format_perm(w: Perm) -> str:

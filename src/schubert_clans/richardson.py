@@ -43,14 +43,12 @@ class IncomparableError(ValueError):
 
 
 def _require_shuffles(u: Perm, v: Perm, p: int, x: Perm | None = None) -> None:
-    """Check the degrees, the block size, that u and v are permutations and
-    both shuffle patterns.  On the product side x is the factor with
-    u = w0 x and v is y; the errors then name x and y, the permutations the
-    caller gave."""
+    """Check the degrees, that u and v are permutations and both shuffle
+    patterns; the first shuffle test checks the block size.  On the product
+    side x is the factor with u = w0 x and v is y; the errors then name x
+    and y, the permutations the caller gave."""
     if len(u) != len(v):
         raise ValueError(f"degree mismatch: {len(u)} vs {len(v)}")
-    if not 0 <= p <= len(u):
-        raise ValueError(f"block size p must lie in 0..{len(u)}, got {p}")
     permutations.require_perm("u", u)
     permutations.require_perm("v" if x is None else "y", v)
     if not permutations.is_descending_shuffle(u, p):

@@ -8,13 +8,14 @@ moves, reduced words by recursion on descents, polynomial products and
 sums by tuple arithmetic (:func:`poly_mul`, :func:`poly_sum`), and the
 divided difference by its definition (:func:`divided_difference`).  Tests
 compare the library against these, never the library against itself.
-The exceptions are :func:`w_set_scan`, the w-set by its definition, built
-from the package's action and length slices, and
-:func:`expand_schubert_scan` and :func:`reconstruct`, the greedy Schubert
-expansion by a full scan for each leader and its inverse, built from the
-package's Schubert polynomials, and :func:`oracle_product_2n`, the oracle
-in 2n - 1 variables; those pieces are tested on their own, and take
-their products and sums from the tuple arithmetic here.
+Schubert polynomials come from the staircase by that divided difference
+(:func:`schubert_reference`), and on them rest :func:`expand_schubert_scan`
+and :func:`reconstruct`, the greedy Schubert expansion by a full scan for
+each leader and its inverse, and :func:`oracle_product_2n`, the oracle in
+2n - 1 variables; none of them calls the oracle's code, and
+``oracle.MultiPoly`` is only their container.  The exception is
+:func:`w_set_scan`, the w-set by its definition, built from the package's
+action and length slices.
 :func:`packed_divdiff` and :func:`packed_expand` are no references: they
 hand a ``MultiPoly`` to the oracle's private kernels, for the tests that
 pin properties of those kernels.
@@ -196,24 +197,27 @@ def w_set_scan(gamma) -> list:
 def expand_schubert_scan(poly) -> dict:
     """{w: coeff} with poly = sum coeff * S_w, greedily: scan the whole
     working polynomial for its right-to-left leader, read it as a Lehmer
-    code and subtract that Schubert polynomial."""
-    work = dict(poly.coeffs)
+    code and subtract that Schubert polynomial, from
+    :func:`schubert_reference`."""
+    # keyed by reversed exponent tuples, so max() finds the leader
+    work = {exps[::-1]: c for exps, c in poly.coeffs.items()}
     out = {}
     while work:
-        exps = max(work, key=lambda e: e[::-1])
-        c = work[exps]
-        lead = list(exps)
+        rev = max(work)
+        c = work[rev]
+        lead = list(rev[::-1])
         while lead and lead[-1] == 0:
             lead.pop()
         w = permutations.code_to_perm(tuple(lead))
         out[w] = out.get(w, 0) + c
-        for se, sc in oracle.schubert_poly(w, poly.arity).coeffs.items():
+        for se, sc in schubert_reference(w, poly.arity).items():
+            se = se[::-1]
             newc = work.get(se, 0) - c * sc
             if newc:
                 work[se] = newc
             else:
                 work.pop(se, None)
-        if exps in work:
+        if rev in work:
             raise AssertionError("leading term failed to cancel")
     return out
 
@@ -254,18 +258,44 @@ def divided_difference(i, poly):
     num = {exps: c for exps, c in num.items() if c}
     quotient = {}
     while num:
-        # x^a = x^(a - e_i) (x_i - x_{i+1}) + x^(a - e_i + e_{i+1})
-        lead = max(num, key=lambda exps: exps[i - 1])
-        c = num.pop(lead)
-        if not lead[i - 1]:
-            raise ArithmeticError(f"x_{i} - x_{i + 1} leaves the remainder {c} x^{lead}")
-        down = lead[: i - 1] + (lead[i - 1] - 1,) + lead[i:]
-        quotient[down] = quotient.get(down, 0) + c
-        across = down[:i] + (down[i] + 1,) + down[i + 1 :]
-        num[across] = num.get(across, 0) + c
-        if not num[across]:
-            del num[across]
+        # x^a = x^(a - e_i) (x_i - x_{i+1}) + x^(a - e_i + e_{i+1}): dividing
+        # every term of top degree in x_i leaves terms one degree lower
+        top = max(exps[i - 1] for exps in num)
+        for lead in [exps for exps in num if exps[i - 1] == top]:
+            c = num.pop(lead)
+            if not top:
+                raise ArithmeticError(f"x_{i} - x_{i + 1} leaves the remainder {c} x^{lead}")
+            down = lead[: i - 1] + (top - 1,) + lead[i:]
+            quotient[down] = quotient.get(down, 0) + c
+            across = down[:i] + (down[i] + 1,) + down[i + 1 :]
+            num[across] = num.get(across, 0) + c
+            if not num[across]:
+                del num[across]
     return {exps: c for exps, c in quotient.items() if c}
+
+
+# S_w by trim(w), in len(trim(w)) variables
+_SCHUBERT_REFERENCE: dict = {}
+
+
+def schubert_reference(w, m) -> dict:
+    """S_w in m variables as {exponent tuple: int}, by the definition: the
+    staircase x_1^(k-1) x_2^(k-2) ... x_(k-1) is S_(w0) in S_k, with
+    k = len(trim(w)), and S_w = d_i S_(w s_i) at the first ascent i of w,
+    by :func:`divided_difference`.  Memoized by trim(w)."""
+    up = permutations.trim(tuple(w))
+    k = len(up)
+    chain = []
+    while up not in _SCHUBERT_REFERENCE and up != tuple(range(k, 0, -1)):
+        i = next(i for i in range(1, k) if up[i - 1] < up[i])
+        chain.append((up, i))
+        up = up[: i - 1] + (up[i], up[i - 1]) + up[i + 1 :]
+    poly = _SCHUBERT_REFERENCE.setdefault(up, {tuple(range(k - 1, -1, -1)): 1})
+    for v, i in reversed(chain):
+        poly = _SCHUBERT_REFERENCE[v] = divided_difference(i, poly)
+    if any(exps[m:] != (0,) * (k - m) for exps in poly):
+        raise ValueError(f"S_{tuple(w)} needs more than m = {m} variables")
+    return {exps[:m] + (0,) * (m - k): c for exps, c in poly.items()}
 
 
 def _packed(poly):
@@ -286,14 +316,14 @@ def packed_expand(poly, degree):
 
 
 def oracle_product_2n(x, y) -> dict:
-    """S_x . S_y expanded in 2n - 1 variables, with the product taken by
-    :func:`poly_mul` and no degree: the oracle's earlier layout, the
-    reference for its n-variable and degree-n paths."""
+    """S_x . S_y expanded in 2n - 1 variables from :func:`schubert_reference`,
+    with the product taken by :func:`poly_mul`, the expansion by
+    :func:`expand_schubert_scan` and no degree: the reference for the
+    oracle's n-variable and degree-n paths, sharing none of its code."""
     n = max(len(x), len(y))
     m = 2 * n - 1
-    sx = oracle.schubert_poly(permutations.pad(x, n), m)
-    sy = oracle.schubert_poly(permutations.pad(y, n), m)
-    return oracle.expand_schubert(poly_mul(sx, sy))
+    sx, sy = (oracle.MultiPoly(m, schubert_reference(w, m)) for w in (x, y))
+    return expand_schubert_scan(poly_mul(sx, sy))
 
 
 def leading_exponent(poly):
@@ -317,7 +347,9 @@ def vars_needed_scan(coeffs) -> int:
 def reconstruct(expansion, m):
     """Sum coeff * S_w back into a polynomial by :func:`poly_sum`; exact
     inverse of expansion."""
-    return poly_sum(((c, oracle.schubert_poly(w, m)) for w, c in expansion.items()), m)
+    return poly_sum(
+        ((c, oracle.MultiPoly(m, schubert_reference(w, m))) for w, c in expansion.items()), m
+    )
 
 
 @pytest.fixture(scope="session")

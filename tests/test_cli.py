@@ -173,7 +173,23 @@ def test_product_parse_error_exits_2(capsys):
     assert "error:" in err
     code, out, err = run_cli(capsys, "product", "--x", "3a1", "--y", "123", "--p", "1")
     assert (code, out) == (2, "")
-    assert err == "error: cannot parse permutation from '3a1'\n"
+    assert err == "error: cannot parse x from '3a1'\n"
+
+
+@pytest.mark.parametrize(
+    "command, option, other",
+    [("product", "x", "y"), ("product", "y", "x"), ("oracle-product", "x", "y"),
+     ("oracle-product", "y", "x"), ("clan-of", "u", "v"), ("clan-of", "v", "u")],
+)
+@pytest.mark.parametrize(
+    "value, message",
+    [("11", "{} = 11 is not a permutation of 1..2"), ("3a1", "cannot parse {} from '3a1'")],
+)
+def test_a_bad_permutation_error_names_its_option(capsys, command, option, other, value, message):
+    block = () if command == "oracle-product" else ("--p", "1")
+    code, out, err = run_cli(capsys, command, f"--{option}", value, f"--{other}", "12", *block)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.format(option)}\n"
 
 
 def test_oracle_product_all_terms(capsys):

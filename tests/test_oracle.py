@@ -25,6 +25,7 @@ from conftest import (
     poly_mul,
     poly_sum,
     reconstruct,
+    schubert_reference,
     simple,
     vars_needed_scan,
 )
@@ -213,6 +214,19 @@ def test_schubert_family_alternate_recursion():
         family[w] = divided_difference(i, family[tuple(up)])
     for w in all_perms(4):
         assert O.schubert_poly(w, m).coeffs == family[w]
+
+
+def test_schubert_reference_matches_schubert_poly():
+    # the tests' reference polynomials, from the staircase by conftest's
+    # divided difference, against the oracle's cached ones
+    for n in range(1, 7):
+        for w in all_perms(n):
+            for m in (n, 2 * n - 1):
+                assert schubert_reference(w, m) == O.schubert_poly(w, m).coeffs, (w, m)
+    # stable under trailing fixed points, cut to the variables S_w uses
+    assert schubert_reference((1, 3, 2, 4, 5), 2) == {(1, 0): 1, (0, 1): 1}
+    with pytest.raises(ValueError, match="needs more than m = 1 variables"):
+        schubert_reference((1, 3, 2), 1)
 
 
 @pytest.mark.parametrize("n", [4, 5])

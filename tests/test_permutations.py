@@ -37,10 +37,10 @@ def test_identity_and_longest():
         P.identity(0)
     with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
         P.longest(0)
-    with pytest.raises(ValueError):
-        P.perm([1, 1, 3])
-    with pytest.raises(ValueError, match=r"degree n >= 1, got \(\)"):
-        P.perm([])
+    with pytest.raises(ValueError, match=r"w = 113 is not a permutation of 1\.\.3"):
+        P.parse_perm("113")
+    with pytest.raises(ValueError, match="empty permutation text"):
+        P.parse_perm(" ")
 
 
 def test_compose():
@@ -292,8 +292,12 @@ def test_parse_format():
     assert P.parse_perm(P.format_perm(big)) == big
     with pytest.raises(ValueError):
         P.parse_perm("31")
-    with pytest.raises(ValueError, match="cannot parse permutation from '3a1'"):
+    with pytest.raises(ValueError, match="cannot parse w from '3a1'"):
         P.parse_perm("3a1")
+    with pytest.raises(ValueError, match="cannot parse x from '3a1'"):
+        P.parse_perm("3a1", "x")
+    with pytest.raises(ValueError, match=r"y = 1,2,3,4,5,6,7,8,9,10,10 is not a permutation"):
+        P.parse_perm("1,2,3,4,5,6,7,8,9,10,10", "y")
     with pytest.raises(ValueError):
         P.parse_perm("")
 

@@ -43,6 +43,16 @@ def test_shuffle_lists_refuse_a_bad_block_size():
         R.descending_shuffles(3, 4)
 
 
+def test_clan_of_pair_refuses_a_bad_block_size():
+    # the descending-shuffle test checks p; the permutations are checked first
+    with pytest.raises(ValueError, match=r"block size p must lie in 0\.\.3, got 4"):
+        R.clan_of_pair((3, 2, 1), (1, 2, 3), 4)
+    with pytest.raises(ValueError, match=r"block size p must lie in 0\.\.3, got -1"):
+        R.clan_of_pair((3, 2, 1), (1, 2, 3), -1)
+    with pytest.raises(ValueError, match="u = 331 is not a permutation"):
+        R.clan_of_pair((3, 3, 1), (1, 2, 3), 4)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_comparability_agrees_with_bruhat(n):
     for p in range(n + 1):

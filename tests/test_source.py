@@ -5,7 +5,10 @@ import importlib
 import re
 from pathlib import Path
 
+import pytest
+
 import schubert_clans
+import schubert_clans.cli
 
 PACKAGE_DIR = Path(schubert_clans.__file__).parent
 REPO = Path(__file__).resolve().parent.parent
@@ -164,3 +167,29 @@ def test_readme_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def _pyproject():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is new in Python 3.11")
+    return tomllib.loads((REPO / "pyproject.toml").read_text())
+
+
+def test_console_script_resolves_to_cli_main():
+    # tier-1 runs the package from src/, so only this test reads the entry
+    # point an installed package would get
+    target = _pyproject()["project"]["scripts"]["schubert-clans"]
+    module, _, name = target.partition(":")
+    assert getattr(importlib.import_module(module), name) is schubert_clans.cli.main
+
+
+def test_package_data_globs_cover_the_data_files():
+    globs = _pyproject()["tool"]["setuptools"]["package-data"]["schubert_clans"]
+    files = [path.relative_to(PACKAGE_DIR) for path in (PACKAGE_DIR / "data").rglob("*")
+             if path.is_file()]
+    assert files
+    # setuptools globs from the package directory: a glob's parts match a
+    # path's parts one for one
+    missed = [str(path) for path in files
+              if not any(len(path.parts) == len(Path(glob).parts) and path.match(glob)
+                         for glob in globs)]
+    assert missed == []

@@ -1,9 +1,11 @@
+import importlib.util
 import inspect
 import json
 import random
 import sys
 import threading
 from math import comb, prod
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +313,23 @@ def test_w_set_table_clear_and_size():
     W.clear_w_set_table()
     assert W.w_set_table_size() == 0
     assert len(W.w_set(gamma)) == 105
+
+
+def test_bench_wset_counts_small_cases():
+    # tools/bench_wset.py counts act_simple by wrapping it; its small cases
+    # must reproduce the committed BENCH file through that counter
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_wset.py"
+    spec = importlib.util.spec_from_file_location("bench_wset", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    cases = {c["name"]: c["counts"] for c in json.loads(bench.BENCH_FILE.read_text())["cases"]}
+    original = W.act_simple
+    for name in ("alternating n=8", "verify n=7 clan side"):
+        counts, _ = bench.run_case(bench.INPUTS[name])
+        assert counts == cases[name], name
+    # the counter puts act_simple back and leaves the table empty
+    assert W.act_simple is original
+    assert W.w_set_table_size() == 0
 
 
 @pytest.mark.parametrize("total", range(1, 13))
