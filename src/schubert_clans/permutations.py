@@ -205,8 +205,6 @@ def parse_perm(text: str, name: str = "w") -> Perm:
     (3, 5, 2, 4, 1)
     """
     text = text.strip()
-    if not text:
-        raise ValueError("empty permutation text")
     if "," in text:
         parts = [part.strip() for part in text.split(",")]
     else:
@@ -214,7 +212,9 @@ def parse_perm(text: str, name: str = "w") -> Perm:
     try:
         w = tuple([int(part) for part in parts])
     except ValueError:
-        raise ValueError(f"cannot parse {name} from {text!r}") from None
+        w = ()
+    if not w:
+        raise ValueError(f"cannot parse {name} from {text!r}")
     require_perm(name, w)
     return w
 

@@ -117,6 +117,10 @@ def clan_of_pair(u: Perm, v: Perm, p: int) -> Clan:
     ('+', '-', 1, 2, 2, 1)
     """
     _require_shuffles(u, v, p)
+    return _clan(u, v, p)
+
+
+def _clan(u: Perm, v: Perm, p: int) -> Clan:
     gamma, failure = _walk(u, v, p)
     if failure is not None:
         i, first, second = failure
@@ -168,15 +172,11 @@ def pair_of_clan(gamma: Clan) -> tuple[Perm, Perm]:
 
 
 def _product_clan(x: Perm, y: Perm, p: int) -> Clan:
-    """The clan of the pair (w0 x, y) behind S_x . S_y.  A failed input
-    check is reported again by the names the caller gave, x and y."""
+    """The clan of the pair (w0 x, y) behind S_x . S_y."""
     permutations.require_perm("x", x)
     u = permutations.compose(permutations.longest(len(x)), x)
-    try:
-        return clan_of_pair(u, y, p)
-    except ValueError:
-        _require_shuffles(u, y, p, x=x)
-        raise
+    _require_shuffles(u, y, p, x=x)
+    return _clan(u, y, p)
 
 
 def special_product(x: Perm, y: Perm, p: int, guard: int | None = None) -> dict[Perm, int]:

@@ -183,7 +183,8 @@ def test_product_parse_error_exits_2(capsys):
 )
 @pytest.mark.parametrize(
     "value, message",
-    [("11", "{} = 11 is not a permutation of 1..2"), ("3a1", "cannot parse {} from '3a1'")],
+    [("11", "{} = 11 is not a permutation of 1..2"), ("3a1", "cannot parse {} from '3a1'"),
+     ("", "cannot parse {} from ''")],
 )
 def test_a_bad_permutation_error_names_its_option(capsys, command, option, other, value, message):
     block = () if command == "oracle-product" else ("--p", "1")
@@ -615,6 +616,28 @@ def test_cli_digest_small_groups_match_the_committed_file():
         assert digest.digest_group(digest.GROUPS[name]) == want[name], name
     argv = ("clan-of", "--u", "21", "--v", "12", "--p", "1", "--format", "text")
     assert digest.run_call(argv) == [list(argv), 0, "(1,1)\n", ""]
+
+
+@pytest.mark.parametrize("file_name", ["BENCH_oracle.json", "BENCH_wset.json"])
+def test_bench_counts_check_reports_each_drifted_case(file_name):
+    # tools/bench_counts.py --check exits 1 on any line drift() returns: a
+    # changed count, a case the run lacks and a case the file lacks
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_counts.py"
+    spec = importlib.util.spec_from_file_location("bench_counts", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    want = json.loads((bench.ROOT / file_name).read_text())["cases"]
+    got = json.loads(json.dumps(want))
+    assert bench.drift(file_name, want, got) == []
+    first = got[0]["counts"]
+    first[next(iter(first))] += 1
+    missing = got.pop()
+    got.append({**got[1], "name": "extra case"})
+    lines = bench.drift(file_name, want, got)
+    assert len(lines) == 3
+    assert f"{file_name} {bench.label(missing)}: {missing['counts']} -> None" in lines
+    assert f"{file_name} {bench.label(got[-1])}: None -> {got[1]['counts']}" in lines
+    assert f"{file_name} {bench.label(want[0])}: {want[0]['counts']} -> {first}" in lines
 
 
 def test_peak_rss_tool_passes_output_and_status_through():

@@ -579,21 +579,21 @@ def test_monk_examples():
 
 
 def test_bench_oracle_counts_small_cases():
-    # tools/bench_oracle.py counts by wrapping oracle internals; its small
-    # cases must reproduce the committed BENCH file through that counter
-    path = Path(__file__).resolve().parent.parent / "tools" / "bench_oracle.py"
-    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    # tools/bench_counts.py counts by wrapping oracle internals; its small
+    # oracle cases must reproduce BENCH_oracle.json through that counter
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_counts.py"
+    spec = importlib.util.spec_from_file_location("bench_counts", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    cases = json.loads(bench.BENCH_FILE.read_text())["cases"]
+    cases = json.loads((bench.ROOT / "BENCH_oracle.json").read_text())["cases"]
     originals = (O._multiply_packed, O._divdiff, O._schubert_coeffs, O._pack, O._box_reducer,
                  P.code_to_perm)
     small = [c for c in cases if c["name"] in ("alternating n=8", "heavy S_8 pairs")
              or (c["name"], c["mode"]) == ("empty S_8 products", "restricted")]
     assert len(small) == 5
     for case in small:
-        n, make = bench.INPUTS[case["name"]]
-        counts, _ = bench.run_case(make(), n if case["mode"] == "restricted" else None)
+        n, make = bench.ORACLE_INPUTS[case["name"]]
+        counts, _ = bench.run_oracle(make(), n if case["mode"] == "restricted" else None)
         assert counts == case["counts"], case["name"]
     # the counter puts the oracle's own functions back
     assert (O._multiply_packed, O._divdiff, O._schubert_coeffs, O._pack, O._box_reducer,

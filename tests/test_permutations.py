@@ -39,7 +39,7 @@ def test_identity_and_longest():
         P.longest(0)
     with pytest.raises(ValueError, match=r"w = 113 is not a permutation of 1\.\.3"):
         P.parse_perm("113")
-    with pytest.raises(ValueError, match="empty permutation text"):
+    with pytest.raises(ValueError, match="cannot parse w from ''"):
         P.parse_perm(" ")
 
 

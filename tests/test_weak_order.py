@@ -316,16 +316,17 @@ def test_w_set_table_clear_and_size():
 
 
 def test_bench_wset_counts_small_cases():
-    # tools/bench_wset.py counts act_simple by wrapping it; its small cases
-    # must reproduce the committed BENCH file through that counter
-    path = Path(__file__).resolve().parent.parent / "tools" / "bench_wset.py"
-    spec = importlib.util.spec_from_file_location("bench_wset", path)
+    # tools/bench_counts.py counts act_simple by wrapping it; its small w-set
+    # cases must reproduce BENCH_wset.json through that counter
+    path = Path(__file__).resolve().parent.parent / "tools" / "bench_counts.py"
+    spec = importlib.util.spec_from_file_location("bench_counts", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    cases = {c["name"]: c["counts"] for c in json.loads(bench.BENCH_FILE.read_text())["cases"]}
+    bench_file = json.loads((bench.ROOT / "BENCH_wset.json").read_text())
+    cases = {c["name"]: c["counts"] for c in bench_file["cases"]}
     original = W.act_simple
     for name in ("alternating n=8", "verify n=7 clan side"):
-        counts, _ = bench.run_case(bench.INPUTS[name])
+        counts, _ = bench.run_wset(bench.WSET_INPUTS[name])
         assert counts == cases[name], name
     # the counter puts act_simple back and leaves the table empty
     assert W.act_simple is original
