@@ -113,8 +113,8 @@ def parse_clan(text: str, p: int | None = None, q: int | None = None) -> Clan:
     gamma = normalize(symbols)
     if p is not None or q is not None:
         got = signature(gamma)
-        want = (p, q)
         if (p is not None and got[0] != p) or (q is not None and got[1] != q):
+            want = f"p = {p}" if q is None else f"q = {q}" if p is None else (p, q)
             raise ValueError(f"clan {format_clan(gamma)} has type {got}, expected {want}")
     return gamma
 
@@ -221,16 +221,17 @@ def dense_clan(p: int, q: int) -> Clan:
 
 
 def avoids_1212(gamma: Clan) -> bool:
-    """True iff no two pairs interleave, i.e. every two pairs are nested or
-    disjoint.  These are exactly the clans whose orbit closures are
-    Richardson varieties."""
-    pairs = sorted(pair_positions(gamma).values())
-    for a in range(len(pairs)):
-        s1, t1 = pairs[a]
-        for b in range(a + 1, len(pairs)):
-            s2, t2 = pairs[b]
-            if s1 < s2 < t1 < t2:
-                return False
+    """True iff no two pairs interleave, i.e. each second occurrence closes
+    the most recently opened pair still open.  These are exactly the clans
+    whose orbit closures are Richardson varieties."""
+    open_labels: list[int] = []
+    for s in gamma:
+        if s in (PLUS, MINUS):
+            continue
+        if s not in open_labels:
+            open_labels.append(s)
+        elif open_labels.pop() != s:
+            return False
     return True
 
 

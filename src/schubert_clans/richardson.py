@@ -24,7 +24,7 @@ multiplicity-free and :func:`special_product` just returns the w-set.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 from typing import Iterator
 
 from . import clans, permutations, weak_order
@@ -234,7 +234,6 @@ def ascending_shuffles(n: int, p: int) -> list[Perm]:
 
 def admissible_pairs(n: int, p: int) -> Iterator[tuple[Perm, Perm]]:
     """All comparable shuffle pairs (u, v) at p, lexicographically."""
-    for u in descending_shuffles(n, p):
-        for v in ascending_shuffles(n, p):
-            if _walk(u, v, p)[1] is None:
-                yield u, v
+    for u, v in product(descending_shuffles(n, p), ascending_shuffles(n, p)):
+        if _walk(u, v, p)[1] is None:
+            yield u, v

@@ -15,7 +15,8 @@ each leader and its inverse, and :func:`oracle_product_2n`, the oracle in
 2n - 1 variables; none of them calls the oracle's code, and
 ``oracle.MultiPoly`` is only their container.  The exception is
 :func:`w_set_scan`, the w-set by its definition, built from the package's
-action and length slices.
+action and length slices.  :func:`avoids_1212_pairwise` is the pattern
+test by its definition, every two pairs compared.
 :func:`packed_divdiff` and :func:`packed_expand` are no references: they
 hand a ``MultiPoly`` to the oracle's private kernels, for the tests that
 pin properties of those kernels.
@@ -23,9 +24,11 @@ pin properties of those kernels.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -178,6 +181,17 @@ def act_simple_rules(i, gamma):
         return gamma
     names = {}
     return tuple(s if s in signs else names.setdefault(s, len(names) + 1) for s in raw)
+
+
+def avoids_1212_pairwise(gamma) -> bool:
+    """No two pairs of gamma at positions s1 < s2 < t1 < t2, by testing
+    every two pairs."""
+    positions = {}
+    for pos, s in enumerate(gamma):
+        if s not in ("+", "-"):
+            positions.setdefault(s, []).append(pos)
+    pairs = list(positions.values())
+    return not any(s1 < s2 < t1 < t2 for s1, t1 in pairs for s2, t2 in pairs)
 
 
 def w_set_scan(gamma) -> list:
@@ -350,6 +364,15 @@ def reconstruct(expansion, m):
     return poly_sum(
         ((c, oracle.MultiPoly(m, schubert_reference(w, m))) for w, c in expansion.items()), m
     )
+
+
+def load_tool(name):
+    """The script tools/<name>.py, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,8 @@ import pytest
 from schubert_clans import clans as C
 from schubert_clans.guards import DEFAULT_CLAN_GUARD, GuardError
 
+from conftest import avoids_1212_pairwise
+
 
 # parsing and the matching-position equivalence
 
@@ -38,6 +40,11 @@ def test_parse_errors():
             C.parse_clan(f"({tok},{tok})")
     # a decimal digit of another script is one int() reads
     assert C.parse_clan("(١,١)") == (1, 1)
+    # a type check names only the halves it was given
+    for p, q, want in ((2, None, "p = 2"), (None, 3, "q = 3"), (2, 1, "(2, 1)")):
+        with pytest.raises(ValueError) as err:
+            C.parse_clan("(+,-)", p, q)
+        assert str(err.value) == f"clan (+,-) has type (1, 1), expected {want}"
 
 
 def test_parse_idempotent_on_output():
@@ -147,6 +154,16 @@ def test_avoids_1212():
     assert C.avoids_1212(("+", "-", "+"))
     assert C.avoids_1212((1, 1, 2, 2))
     assert not C.avoids_1212((1, 2, "+", 1, 2))
+
+
+def test_avoids_1212_matches_the_pairwise_definition():
+    checked = 0
+    for total in range(1, 9):
+        for p in range(total + 1):
+            for gamma in C.enumerate_clans(p, total - p):
+                assert C.avoids_1212(gamma) == avoids_1212_pairwise(gamma), gamma
+                checked += 1
+    assert checked == 9748
 
 
 def test_is_sign_only():

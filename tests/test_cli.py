@@ -1,6 +1,4 @@
 import contextlib
-import hashlib
-import importlib.util
 import inspect
 import io
 import json
@@ -14,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schubert_clans import clans, cli, oracle, richardson, weak_order
+
+from conftest import load_tool
 
 
 def run_cli(capsys, *argv):
@@ -317,31 +317,23 @@ def test_dumps_refuses_what_json_cannot_write(doc):
         cli._dumps(doc)
 
 
-# sha256 of graph --p 4 --q 5, the benchmark's largest graph_export shape,
-# past tools/cli_digest.py's p + q <= 8; the benchmark's output check only
-# parses the report.  Taken from the writer that built the whole report
-# before printing it, so the streamed report must match it byte for byte.
-LARGEST_GRAPH_DIGESTS = {
-    "json": "f1ff72b25a850578c009a931404d44430f7090a37895b234c35183c377b50374",
-    "dot": "f0ad2294419ffe2ee5d25769c41250070af9751ae1d8322fd7e7835f39f1867d",
-}
-
-
+# graph --p 4 --q 5 is the benchmark's largest graph_export shape; its bytes
+# are pinned in CLI_DIGEST.json, and the streamed report must be the bytes of
+# json.dumps of the whole envelope
 def test_largest_graph_report_is_json_dumps_of_its_envelope(capsys):
     code, out, _ = run_cli(capsys, "graph", "--p", "4", "--q", "5")
     assert code == 0
-    # compared by digest: pytest's diff of two 4.8 MB strings would not end
-    assert hashlib.sha256(out.encode()).hexdigest() == LARGEST_GRAPH_DIGESTS["json"]
     doc = json.loads(out)
     graph = doc["output"]
     assert (len(graph["nodes"]), len(graph["edges"])) == (9891, 38640)
-    assert hashlib.sha256(_json_dumps(doc).encode()).hexdigest() == LARGEST_GRAPH_DIGESTS["json"]
+    # compared outside the assert: pytest's diff of two 4.8 MB strings would not end
+    same = out == _json_dumps(doc)
+    assert same
 
 
 def test_largest_graph_dot_report_pinned(capsys):
     code, out, _ = run_cli(capsys, "graph", "--p", "4", "--q", "5", "--format", "dot")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == LARGEST_GRAPH_DIGESTS["dot"]
     assert (out.count('";\n'), out.count(" -> ")) == (9891, 38640)
 
 
@@ -366,41 +358,14 @@ def test_graph_export_memory_is_bounded(fmt):
     assert peak <= 10_000_000, f"{peak / 1e6:.1f} MB"
 
 
-# sha256 of the JSON report of one call per subcommand and option.  The
-# report echoes every option except --format and the guards under
-# "inputs", so a guard leaves the bytes as they are, and a new option
-# changes them unless cli._NOT_ECHOED lists it.
-REPORT_DIGESTS = {
-    ("product", "--x", "31425", "--y", "14253", "--p", "3"):
-        "49347dddc40edb7838c7350a0faf844ad58b267caf8cd24e1ca7caca3580ed16",
-    ("product", "--x", "31425", "--y", "14253", "--p", "3", "--perm-guard", "10"):
-        "49347dddc40edb7838c7350a0faf844ad58b267caf8cd24e1ca7caca3580ed16",
-    ("product", "--x", "31425", "--y", "14253", "--p", "3", "--verify"):
-        "88d2dfd9975b9dd3951a0dedb6df39917c085e084f53e30b75ee214941e426ba",
-    ("oracle-product", "--x", "2143", "--y", "1342"):
-        "679008af4fe0ffa99bb7f06c6780b95da02d76c6dfd2d400244e4221960dfbdd",
-    ("oracle-product", "--x", "2143", "--y", "1342", "--all-terms"):
-        "e1ac33117ad2f574502fb7984858454e8cc02dddae7ac13b4e730c2786f1c42e",
-    ("pair-of", "--clan", "(+,-,1,2,2,1)"):
-        "f1c25d531c1e4e0aa0ac21c2d6878c0a6b50c72cb9c20be4249b437f16212ba3",
-    ("clans", "--p", "1", "--q", "2"):
-        "3cf6d31e5b17142c0dda92eb81a099247f09762df5e94f0db00ea55f2101b0d0",
-    ("clans", "--p", "2", "--q", "2", "--clan-guard", "84"):
-        "7545ef472a87da365623eb1490a19bc54625806bde090375f9c92a0f8cfc0f0e",
-    ("verify", "--n", "4"):
-        "3689762bb4ff518fe611517fb6d2a54ea47188ae02fe8d7fdac196c9c19a913e",
-    ("verify", "--n", "4", "--max-cases", "3"):
-        "e31313fa0f596d8d9c5b6f032c4858c85444ff60d41daf86f8821df5f3019d1d",
-    ("table1",):
-        "2c260a0fa4ddc8e1473296908816b2987e593917f979d1b8debb3052e5122934",
-}
-
-
-@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=" ".join)
-def test_json_report_bytes_pinned(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
+def test_a_guard_is_not_echoed(capsys):
+    # the report echoes every option except --format and the guards under
+    # "inputs", so a guard that lets the call through leaves the bytes as they are
+    product = ("product", "--x", "31425", "--y", "14253", "--p", "3")
+    for argv, guard in ((product, ("--perm-guard", "10")),
+                        (("clans", "--p", "2", "--q", "2"), ("--clan-guard", "84"))):
+        code, plain, _ = run_cli(capsys, *argv)
+        assert (code, run_cli(capsys, *argv, *guard)[:2]) == (0, (0, plain)), argv
 
 
 def test_clan_of_report_literal(capsys):
@@ -604,28 +569,46 @@ def test_unknown_subcommand_exits_2():
     assert proc.returncode == 2
 
 
-def test_cli_digest_small_groups_match_the_committed_file():
-    # tools/cli_digest.py --check runs every group; the two quickest must
-    # reproduce CLI_DIGEST.json here too, and a record drops the timing line
-    path = Path(__file__).resolve().parent.parent / "tools" / "cli_digest.py"
-    spec = importlib.util.spec_from_file_location("cli_digest", path)
-    digest = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(digest)
-    want = json.loads(digest.DIGEST_FILE.read_text())["groups"]
-    for name in ("shuffle pairs n<=4", "graph and clans p+q<=8"):
-        assert digest.digest_group(digest.GROUPS[name]) == want[name], name
+DIGEST = load_tool("cli_digest")
+DIGEST_GROUPS = json.loads(DIGEST.DIGEST_FILE.read_text())["groups"]
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_GROUPS.keys() | DIGEST.GROUPS.keys()))
+def test_cli_digest_group_matches_the_committed_file(name):
+    # every group of tools/cli_digest.py, each call's argv, exit status,
+    # stdout and stderr, must reproduce CLI_DIGEST.json; a group that only
+    # the tool or only the file lists fails too
+    got = DIGEST.digest_group(DIGEST.GROUPS[name]) if name in DIGEST.GROUPS else None
+    assert got == DIGEST_GROUPS.get(name), name
+
+
+def test_cli_digest_record_drops_the_timing_line():
     argv = ("clan-of", "--u", "21", "--v", "12", "--p", "1", "--format", "text")
-    assert digest.run_call(argv) == [list(argv), 0, "(1,1)\n", ""]
+    assert DIGEST.run_call(argv) == [list(argv), 0, "(1,1)\n", ""]
+
+
+def test_cli_digest_check_reports_each_drifted_group():
+    # tools/cli_digest.py --check exits 1 on any line drift() returns: a
+    # changed digest, a group the run lacks and a group the file lacks
+    want = DIGEST_GROUPS
+    got = json.loads(json.dumps(want))
+    assert DIGEST.drift(want, got) == []
+    first, missing = sorted(want)[:2]
+    got[first]["sha256"] = "0" * 64
+    del got[missing]
+    got["extra group"] = want[first]
+    assert sorted(DIGEST.drift(want, got)) == sorted([
+        f"{first}: {want[first]} -> {got[first]}",
+        f"{missing}: {want[missing]} -> None",
+        f"extra group: None -> {want[first]}",
+    ])
 
 
 @pytest.mark.parametrize("file_name", ["BENCH_oracle.json", "BENCH_wset.json"])
 def test_bench_counts_check_reports_each_drifted_case(file_name):
     # tools/bench_counts.py --check exits 1 on any line drift() returns: a
     # changed count, a case the run lacks and a case the file lacks
-    path = Path(__file__).resolve().parent.parent / "tools" / "bench_counts.py"
-    spec = importlib.util.spec_from_file_location("bench_counts", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = load_tool("bench_counts")
     want = json.loads((bench.ROOT / file_name).read_text())["cases"]
     got = json.loads(json.dumps(want))
     assert bench.drift(file_name, want, got) == []

@@ -1,8 +1,6 @@
-import importlib.util
 import itertools
 import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +16,7 @@ from conftest import (
     divided_difference,
     expand_schubert_scan,
     leading_exponent,
+    load_tool,
     monk_rule,
     oracle_product_2n,
     packed_divdiff,
@@ -581,10 +580,7 @@ def test_monk_examples():
 def test_bench_oracle_counts_small_cases():
     # tools/bench_counts.py counts by wrapping oracle internals; its small
     # oracle cases must reproduce BENCH_oracle.json through that counter
-    path = Path(__file__).resolve().parent.parent / "tools" / "bench_counts.py"
-    spec = importlib.util.spec_from_file_location("bench_counts", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = load_tool("bench_counts")
     cases = json.loads((bench.ROOT / "BENCH_oracle.json").read_text())["cases"]
     originals = (O._multiply_packed, O._divdiff, O._schubert_coeffs, O._pack, O._box_reducer,
                  P.code_to_perm)

@@ -8,7 +8,7 @@ from schubert_clans import oracle as O
 from schubert_clans import permutations as P
 from schubert_clans import richardson as R
 
-from conftest import all_perms, bruhat_leq_rank, inversions, word_to_perm
+from conftest import all_perms, avoids_1212_pairwise, bruhat_leq_rank, inversions, word_to_perm
 
 
 def shuffle_pairs(n, p):
@@ -109,6 +109,18 @@ def test_clan_of_pair_avoids_1212():
                 gamma = R.clan_of_pair(u, v, p)
                 assert C.avoids_1212(gamma)
                 assert C.signature(gamma) == (p, n - p)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_admissible_pairs_lists_every_comparable_shuffle_pair_in_order(n):
+    # the shuffle pairs with u >= v by the rank-matrix Bruhat test, in
+    # lexicographic order, one for each (1,2,1,2)-avoiding clan
+    for p in range(n + 1):
+        want = sorted((u, v) for u in R.descending_shuffles(n, p)
+                      for v in R.ascending_shuffles(n, p) if bruhat_leq_rank(v, u))
+        assert list(R.admissible_pairs(n, p)) == want
+        avoiding = [g for g in C.enumerate_clans(p, n - p) if avoids_1212_pairwise(g)]
+        assert len(want) == len(avoiding)
 
 
 def test_pair_of_clan_worked_examples():

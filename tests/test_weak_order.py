@@ -1,11 +1,9 @@
-import importlib.util
 import inspect
 import json
 import random
 import sys
 import threading
 from math import comb, prod
-from pathlib import Path
 
 import pytest
 
@@ -15,7 +13,14 @@ from schubert_clans import richardson as R
 from schubert_clans import weak_order as W
 from schubert_clans.guards import GuardError
 
-from conftest import act_simple_rules, all_perms, all_reduced_words, w_set_scan, word_to_perm
+from conftest import (
+    act_simple_rules,
+    all_perms,
+    all_reduced_words,
+    load_tool,
+    w_set_scan,
+    word_to_perm,
+)
 
 
 def clans_upto(total):
@@ -318,10 +323,7 @@ def test_w_set_table_clear_and_size():
 def test_bench_wset_counts_small_cases():
     # tools/bench_counts.py counts act_simple by wrapping it; its small w-set
     # cases must reproduce BENCH_wset.json through that counter
-    path = Path(__file__).resolve().parent.parent / "tools" / "bench_counts.py"
-    spec = importlib.util.spec_from_file_location("bench_counts", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+    bench = load_tool("bench_counts")
     bench_file = json.loads((bench.ROOT / "BENCH_wset.json").read_text())
     cases = {c["name"]: c["counts"] for c in bench_file["cases"]}
     original = W.act_simple

@@ -92,6 +92,17 @@ def sweep_calls():
     yield ("table1",)
 
 
+def pinned_calls():
+    """A guard beside the plain call, and graph --p 4 --q 5, the benchmark's
+    largest graph_export shape, past the listing group's p + q <= 8."""
+    product = ("product", "--x", "31425", "--y", "14253", "--p", "3")
+    yield product
+    yield (*product, "--perm-guard", "10")
+    yield ("clans", "--p", "2", "--q", "2", "--clan-guard", "84")
+    yield ("graph", "--p", "4", "--q", "5")
+    yield ("graph", "--p", "4", "--q", "5", "--format", "dot")
+
+
 GROUPS = {
     "admissible pairs n<=6": admissible_calls,
     "shuffle pairs n<=4": shuffle_calls,
@@ -99,6 +110,7 @@ GROUPS = {
     "pair-of p+q<=6": pair_of_calls,
     "graph and clans p+q<=8": listing_calls,
     "verify n<=7 and table1": sweep_calls,
+    "pinned calls": pinned_calls,
 }
 
 
@@ -131,6 +143,12 @@ def measure():
     return groups
 
 
+def drift(want, got):
+    """One line for each group whose digest differs, or that one side lacks."""
+    return [f"{name}: {want.get(name)} -> {got.get(name)}"
+            for name in sorted(want.keys() | got.keys()) if want.get(name) != got.get(name)]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
@@ -138,12 +156,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     groups = measure()
     if args.check:
-        want = json.loads(DIGEST_FILE.read_text())["groups"]
-        drift = sorted(name for name in set(want) | set(groups)
-                       if want.get(name) != groups.get(name))
-        for name in drift:
-            print(f"drift: {name}: {want.get(name)} -> {groups.get(name)}", file=sys.stderr)
-        return 1 if drift else 0
+        lines = drift(json.loads(DIGEST_FILE.read_text())["groups"], groups)
+        for line in lines:
+            print(f"drift: {line}", file=sys.stderr)
+        return 1 if lines else 0
     doc = {"command": "python tools/cli_digest.py", "groups": groups}
     DIGEST_FILE.write_text(json.dumps(doc, indent=2) + "\n")
     return 0
