@@ -65,7 +65,7 @@ def relabel(symbols: Iterable[Symbol]) -> Clan:
     names: dict[int, int] = {}
     out: list[Symbol] = []
     for s in symbols:
-        if s == PLUS or s == MINUS:
+        if isinstance(s, str):  # a sign: a clan's other symbols are ints
             out.append(s)
         else:
             if s not in names:
@@ -121,7 +121,7 @@ def parse_clan(text: str, p: int | None = None, q: int | None = None) -> Clan:
 
 def format_clan(gamma: Clan) -> str:
     """Render a clan as text; inverse of :func:`parse_clan`."""
-    return "(" + ",".join(str(s) for s in gamma) + ")"
+    return "(" + ",".join(map(str, gamma)) + ")"
 
 
 def pair_positions(gamma: Clan) -> dict[int, tuple[int, int]]:

@@ -22,10 +22,15 @@ Reports are built whole and written once, except ``graph``'s, which is
 written while it is made.  Its handler passes ``sys.stdout`` to
 :func:`_report`; the edges come as an iterator, each array writes the
 pieces gathered so far every ``_FLUSH_PIECES`` pieces, and the handler
-returns only the rest.  DOT goes out a line at a time, nodes then edges,
-through the stream's own buffer.  So the graph's edges, their dicts and
-the report's text are never all held at once.  The clan guard is checked
-before the first write, so a refused call prints nothing to stdout.
+returns only the rest.  Every edge has one layout, so the edges go in as
+a :class:`_Rows`: ``_write`` writes one edge with a slot for each of its
+``dst``, ``root`` and ``src`` once, at the edges' indent, and each edge's
+text is that template filled in by one ``%``-format of its quoted labels
+and its root; its dict is read, not walked.  DOT goes out a line at a
+time, nodes then edges, through the stream's own buffer.  So the graph's
+edges, their dicts and the report's text are never all held at once.
+The clan guard is checked before the first write, so a refused call
+prints nothing to stdout.
 
 Exit status: 0 on success, 1 when a verification or golden-data comparison
 fails, 2 on bad input or an exceeded guard.
@@ -66,6 +71,23 @@ _ATOMS = {
 # Pieces an array gathers before a streamed report writes them out.
 _FLUSH_PIECES = 8192
 
+# Marks a slot in the shape of a _Rows array's items.
+_SLOT = "\0"
+
+
+class _Rows:
+    """An array whose items share one layout, for :func:`_write`.
+
+    ``shape`` is one item with ``_SLOT`` for each value that varies, and
+    each row gives those values in the order the slots are written (keys
+    sorted): strings as their JSON text, or ints.  _write writes the shape
+    once, at the array's indent, and each item is that text filled in by
+    ``%``: no item is walked.
+    """
+
+    def __init__(self, shape, rows: Iterator[tuple]):
+        self.shape, self.rows = shape, rows
+
 
 def _dumps(doc: dict, stream=None) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
@@ -99,12 +121,18 @@ def _write(obj, newline: str, out: list, stream) -> None:
             _write(obj[key], inner, out, stream)
             lead = sep
         out.append(newline + "}")
-    elif isinstance(obj, (list, tuple, Iterator)):
+    elif isinstance(obj, (list, tuple, Iterator, _Rows)):
         inner = newline + "  "
         lead, sep = "[" + inner, "," + inner
+        fill = None
+        if type(obj) is _Rows:
+            fill, obj = _template(obj.shape, inner).__mod__, obj.rows
         for item in obj:
             out.append(lead)
-            _write(item, inner, out, stream)
+            if fill is None:
+                _write(item, inner, out, stream)
+            else:
+                out.append(fill(item))
             lead = sep
             if stream is not None and len(out) >= _FLUSH_PIECES:
                 stream.write("".join(out))
@@ -112,6 +140,13 @@ def _write(obj, newline: str, out: list, stream) -> None:
         out.append(newline + "]" if lead is sep else "[]")
     else:
         out.append(json.dumps(obj))
+
+
+def _template(shape, newline: str) -> str:
+    """The JSON text of shape as a ``%``-format, one ``%s`` per _SLOT."""
+    out = []
+    _write(shape, newline, out, None)
+    return "".join(out).replace("%", "%%").replace(encode_basestring_ascii(_SLOT), "%s")
 
 
 def _report(args, output, stream=None, **rest) -> str:
@@ -211,7 +246,14 @@ def cmd_graph(args) -> tuple[str, int]:
     if args.format == "dot":
         sys.stdout.writelines(weak_order.graph_dot(graph))
         return "", 0
-    return _report(args, weak_order.graph_json_dict(graph), sys.stdout), 0
+    doc = weak_order.graph_json_dict(graph)
+    # every edge has one layout, so no edge dict is walked
+    quote = encode_basestring_ascii
+    doc["edges"] = _Rows(
+        {"dst": _SLOT, "mult": 1, "root": _SLOT, "src": _SLOT},
+        ((quote(e["dst"]), e["root"], quote(e["src"])) for e in doc["edges"]),
+    )
+    return _report(args, doc, sys.stdout), 0
 
 
 def cmd_clans(args) -> tuple[str, int]:

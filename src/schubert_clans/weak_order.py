@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Generator, Iterator, Sequence
 
 from . import clans, permutations
-from .clans import MINUS, PLUS, Clan
+from .clans import Clan
 from .guards import DEFAULT_PERM_GUARD, BoundedStore, check_guard
 from .permutations import Perm
 
@@ -45,16 +45,17 @@ class RootType(enum.Enum):
 
 def classify_root(i: int, gamma: Clan) -> RootType:
     """Which action rule (if any) applies to gamma at index i."""
-    if act_simple(i, gamma) == gamma:
+    if act_simple(i, gamma) is gamma:
         return RootType.FIXED
-    if gamma[i - 1] in (PLUS, MINUS) and gamma[i] in (PLUS, MINUS):
+    if type(gamma[i - 1]) is str and type(gamma[i]) is str:
         return RootType.NONCOMPACT_IMAGINARY
     return RootType.COMPLEX_SWAP
 
 
 def act_simple(i: int, gamma: Clan) -> Clan:
     """s_i acting on gamma by the rules of the module docstring; returns
-    gamma itself in the fixed case.
+    gamma itself in the fixed case, and a new tuple exactly when s_i moves
+    gamma, so callers test ``is gamma``.
 
     >>> act_simple(2, ('+', '+', '-', '-'))
     ('+', 1, 1, '-')
@@ -62,15 +63,15 @@ def act_simple(i: int, gamma: Clan) -> Clan:
     if not 1 <= i < len(gamma):
         raise IndexError(f"root index must lie in 1..{len(gamma) - 1}, got {i}")
     a, b = gamma[i - 1], gamma[i]
-    if a in (PLUS, MINUS):
-        if b in (PLUS, MINUS):
+    if type(a) is str:  # a sign: labels are ints
+        if type(b) is str:
             if a == b:
                 return gamma
             # opposite signs become a nested pair; 0 is a fresh label
             return clans.relabel(gamma[: i - 1] + (0, 0) + gamma[i + 1 :])
         if gamma.index(b) != i:  # b's pair must open at i+1
             return gamma
-    elif b in (PLUS, MINUS):
+    elif type(b) is str:
         if gamma.index(a) >= i - 1:  # a's pair must close at i
             return gamma
     elif a == b:
@@ -135,7 +136,7 @@ def iter_edges(graph: WeakOrderGraph) -> Iterator[tuple[Clan, Clan, int]]:
     for gamma in graph.nodes:
         for i in roots:
             target = act_simple(i, gamma)
-            if target != gamma:
+            if target is not gamma:
                 yield gamma, target, i
 
 
@@ -218,11 +219,16 @@ def _climb(clan: Clan, dense: Clan, n: int) -> Generator[Clan, tuple[Perm, ...],
     acc: set[Perm] = set()
     for i in range(1, n):
         up = act_simple(i, clan)
-        if up == clan:
+        if up is clan:
             continue
         for w in _W_SET_TABLE.get(up) or (yield up):
-            if w[i - 1] < w[i]:
-                acc.add(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :])
+            if w[i - 1] > w[i]:
+                # s_i raises the clan, so w.s_i is one longer than w
+                raise RuntimeError(
+                    f"w-set of {clans.format_clan(up)} holds {permutations.format_perm(w)}, "
+                    f"which descends at root {i}, below {clans.format_clan(clan)}"
+                )
+            acc.add(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :])
     return _W_SET_TABLE.put(clan, tuple(sorted(acc)))
 
 
@@ -238,7 +244,8 @@ def w_set(gamma: Clan, guard: int | None = None) -> list[Perm]:
         W(gamma) = { w'.s_i : s_i moves gamma to gamma', w' in W(gamma'),
                      w'(i) < w'(i+1) }
 
-    The last condition makes w'.s_i one longer than w'.  The work grows
+    The last condition makes w'.s_i one longer than w'.  It always holds,
+    so a w' that fails it raises RuntimeError.  The work grows
     with the clans visited, not with S_n; the perm guard still caps n, and
     is checked before any stored w-set is read.
 

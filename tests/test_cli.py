@@ -306,6 +306,50 @@ def test_dumps_streams_iterators_as_arrays():
     assert stream.getvalue() + tail == want
 
 
+def test_dumps_fills_rows_from_one_template():
+    # a _Rows array is written as json.dumps writes its items, at any
+    # depth, with "%" in keys and strings, and streamed like any array
+    shape = {"a%s": cli._SLOT, "b": [cli._SLOT, "100%"], "c": {}, "n": cli._SLOT}
+    items = [{"a%s": "x%d", "b": ["\u00e9\n", "100%"], "c": {}, "n": k} for k in range(5000)]
+
+    def doc():
+        rows = ((json.dumps(item["a%s"]), json.dumps(item["b"][0]), item["n"]) for item in items)
+        return {"r": [{"rows": cli._Rows(shape, rows)}], "e": cli._Rows(shape, iter([]))}
+
+    want = _json_dumps({"r": [{"rows": items}], "e": []})
+    assert cli._dumps(doc()) == want
+    stream = io.StringIO()
+    tail = cli._dumps(doc(), stream)
+    assert stream.getvalue() and stream.getvalue() + tail == want
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 3), (3, 2), (1, 4), (3, 0)])
+def test_graph_report_edges_are_graph_json_dict_edges(capsys, p, q):
+    code, out, _ = run_cli(capsys, "graph", "--p", str(p), "--q", str(q))
+    assert code == 0
+    doc = weak_order.graph_json_dict(weak_order.weak_order_graph(p, q))
+    doc["edges"] = list(doc["edges"])
+    assert json.loads(out)["output"] == doc
+    assert out == _json_dumps(json.loads(out))
+
+
+@pytest.mark.parametrize("p,q", [(10, 1), (1, 10)])
+def test_graph_reports_with_two_digit_roots(capsys, p, q):
+    # CLI_DIGEST.json stops at p + q <= 8 plus (4, 5), so no pinned call
+    # has a root of two digits
+    code, out, _ = run_cli(capsys, "graph", "--p", str(p), "--q", str(q))
+    assert code == 0
+    doc = json.loads(out)
+    graph = doc["output"]
+    assert (len(graph["nodes"]), len(graph["edges"])) == (66, 110)
+    assert {e["root"] for e in graph["edges"]} == set(range(1, 11))
+    assert out == _json_dumps(doc)
+    code, out, _ = run_cli(capsys, "graph", "--p", str(p), "--q", str(q), "--format", "dot")
+    assert code == 0
+    assert (out.count('";\n'), out.count(" -> ")) == (66, 110)
+    assert "[label=10];" in out
+
+
 @pytest.mark.parametrize(
     "doc",
     [{1: "int key"}, {"a": {("t",): 1}}, {"a": [{None: 1}]}, {"a": {1, 2}}, {"a": [object()]}],

@@ -74,6 +74,14 @@ def test_act_simple_follows_the_rules():
             assert (W.classify_root(i, gamma) is W.RootType.FIXED) == (want == gamma)
 
 
+def test_act_simple_returns_gamma_itself_exactly_when_fixed():
+    # iter_edges and the w-set descent test `is gamma`, not equality
+    for gamma in clans_upto(7):
+        for i in range(1, len(gamma)):
+            moved = W.act_simple(i, gamma)
+            assert (moved is gamma) == (moved == gamma), (i, gamma)
+
+
 def test_act_simple_returns_canonical_clans():
     # act_simple relabels only the nested-pair and both-open moves
     for gamma in clans_upto(7):
@@ -291,6 +299,25 @@ def test_w_set_shared_table_matches_scan_in_mixed_order():
     for _ in range(2):
         for gamma, expected in zip(order, want):
             assert W.w_set(gamma) == expected, gamma
+
+
+def test_w_set_raises_on_a_descent_at_the_raising_root():
+    # the invariant holds for every clan with p + q <= 8
+    for n in range(1, 9):
+        W.clear_w_set_table()
+        for p in range(n + 1):
+            for gamma in C.enumerate_clans(p, n - p):
+                W.w_set(gamma)
+    # s_1 raises (+,-) to the dense clan (1,1); a stored W((1,1)) holding
+    # 21, which descends at root 1, breaks it
+    W.clear_w_set_table()
+    W._W_SET_TABLE.put((1, 1), ((2, 1),))
+    try:
+        with pytest.raises(RuntimeError, match=r"^w-set of \(1,1\) holds 21, which descends at root 1, below \(\+,-\)$"):
+            W.w_set(("+", "-"))
+    finally:
+        W.clear_w_set_table()
+    assert W.w_set(("+", "-")) == [(2, 1)]
 
 
 def test_w_set_returns_a_fresh_list():
