@@ -8,8 +8,9 @@ same clan.  We keep a unique representative: labels are 1, 2, 3, ... in
 order of first occurrence, and every function in this package returns
 clans in that canonical form.  Equality and hashing of the plain tuples
 then implement clan equality.  Clans are validated only where they come in
-(:func:`normalize`, :func:`parse_clan`); inside the package the canonical
-tuples are trusted and rebuilt with the unchecked :func:`relabel`.
+(:func:`normalize`, :func:`parse_clan`, and ``weak_order.w_set``, which
+normalizes what it is given); inside the package the canonical tuples are
+trusted and rebuilt with the unchecked :func:`relabel`.
 
 The counting functions ``gamma_plus``, ``gamma_minus`` and ``gamma_cross``,
 the clan length and the orbit dimension are the combinatorial invariants of

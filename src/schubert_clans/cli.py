@@ -20,15 +20,15 @@ the C escaper ``json.dumps`` uses (``encode_basestring_ascii``), each
 
 Reports are built whole and written once, except ``graph``'s, which is
 written while it is made.  Its handler passes ``sys.stdout`` to
-:func:`_report`; the edges come as an iterator, each array writes the
-pieces gathered so far every ``_FLUSH_PIECES`` pieces, and the handler
-returns only the rest.  Every edge has one layout, so the edges go in as
-a :class:`_Rows`: ``_write`` writes one edge with a slot for each of its
-``dst``, ``root`` and ``src`` once, at the edges' indent, and each edge's
-text is that template filled in by one ``%``-format of its quoted labels
-and its root; its dict is read, not walked.  DOT goes out a line at a
-time, nodes then edges, through the stream's own buffer.  So the graph's
-edges, their dicts and the report's text are never all held at once.
+:func:`_report`; each array writes the pieces gathered so far every
+``_FLUSH_PIECES`` pieces, and the handler returns only the rest.
+``weak_order.graph_json_dict`` hands out the edges as ``(src, dst, root)``
+rows, and the handler alone gives them their JSON record: a
+:class:`_Rows` whose shape is one edge with a slot for each of ``dst``,
+``root`` and ``src``.  ``_write`` writes that shape once, at the edges'
+indent, and each edge's text is one ``%``-format of its row.  DOT goes
+out a line at a time, nodes then edges, through the stream's own buffer.
+So the graph's edges and the report's text are never all held at once.
 The clan guard is checked before the first write, so a refused call
 prints nothing to stdout.
 
@@ -44,7 +44,7 @@ import itertools
 import json
 import sys
 import time
-from collections.abc import Iterator
+from collections.abc import Iterable
 from importlib import resources
 from json.encoder import encode_basestring_ascii
 
@@ -69,7 +69,7 @@ _ATOMS = {
 
 
 # Pieces an array gathers before a streamed report writes them out.
-_FLUSH_PIECES = 8192
+_FLUSH_PIECES = 2048
 
 # Marks a slot in the shape of a _Rows array's items.
 _SLOT = "\0"
@@ -85,17 +85,18 @@ class _Rows:
     ``%``: no item is walked.
     """
 
-    def __init__(self, shape, rows: Iterator[tuple]):
+    def __init__(self, shape, rows: Iterable[tuple]):
         self.shape, self.rows = shape, rows
 
 
 def _dumps(doc: dict, stream=None) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-    One recursive pass appends to one list, joined once.  Dict keys must be
-    ``str``: any other key raises ``TypeError``.  An iterator is written as
-    an array.  Given a stream, an array writes the pieces gathered so far
-    to it every _FLUSH_PIECES pieces, and only the rest is returned.
+    One recursive pass appends to one list, joined once.  Values are what
+    ``json.dumps`` takes, or a :class:`_Rows`, but dict keys must be
+    ``str``: anything else raises ``TypeError``.  Given a stream, an array
+    writes the pieces gathered so far to it every _FLUSH_PIECES pieces,
+    and only the rest is returned.
     """
     out = []
     _write(doc, "\n", out, stream)
@@ -121,7 +122,7 @@ def _write(obj, newline: str, out: list, stream) -> None:
             _write(obj[key], inner, out, stream)
             lead = sep
         out.append(newline + "}")
-    elif isinstance(obj, (list, tuple, Iterator, _Rows)):
+    elif isinstance(obj, (list, tuple, _Rows)):
         inner = newline + "  "
         lead, sep = "[" + inner, "," + inner
         fill = None
@@ -247,11 +248,12 @@ def cmd_graph(args) -> tuple[str, int]:
         sys.stdout.writelines(weak_order.graph_dot(graph))
         return "", 0
     doc = weak_order.graph_json_dict(graph)
-    # every edge has one layout, so no edge dict is walked
+    # the one place the edge record is written; every edge is single (see
+    # weak_order's docstring), so each one's multiplicity is the constant 1
     quote = encode_basestring_ascii
     doc["edges"] = _Rows(
         {"dst": _SLOT, "mult": 1, "root": _SLOT, "src": _SLOT},
-        ((quote(e["dst"]), e["root"], quote(e["src"])) for e in doc["edges"]),
+        ((quote(dst), root, quote(src)) for src, dst, root in doc["edges"]),
     )
     return _report(args, doc, sys.stdout), 0
 

@@ -153,25 +153,16 @@ def graph_dot(graph: WeakOrderGraph) -> Iterator[str]:
 
 
 def graph_json_dict(graph: WeakOrderGraph) -> dict:
-    """The JSON document of the graph, for ``cli``'s report writer, which
-    streams it.  Its ``edges`` is a one-shot iterator of edge dicts, made
-    as the writer consumes it: a second read finds it empty, and
-    ``json.dumps`` refuses the document with ``TypeError`` unless the
-    edges are first listed, ``doc["edges"] = list(doc["edges"])``."""
+    """The graph as data for a JSON report: ``p``, ``q``, the ``nodes`` as
+    clan text, and ``edges``, a one-shot iterator of ``(src, dst, root)``
+    rows, clans as their text, in :func:`iter_edges` order.  A second read
+    finds the edges empty.  The report's edge record is ``cli``'s."""
     text = {g: clans.format_clan(g) for g in graph.nodes}
     return {
         "p": graph.p,
         "q": graph.q,
         "nodes": list(text.values()),
-        "edges": (
-            {
-                "src": text[src],
-                "dst": text[dst],
-                "root": root,
-                "mult": 1,  # every edge is single; the wire format keeps the field
-            }
-            for src, dst, root in iter_edges(graph)
-        ),
+        "edges": ((text[src], text[dst], root) for src, dst, root in iter_edges(graph)),
     }
 
 
@@ -255,9 +246,13 @@ def w_set(gamma: Clan, guard: int | None = None) -> list[Perm]:
     past it, the oldest w-sets go first.  :func:`w_set_table_size` reports
     the permutations stored and :func:`clear_w_set_table` frees them.
 
+    Any labeling of a clan is first normalized, so it gets its canonical
+    clan's w-set; a sequence that is not a clan raises ValueError.
+
     >>> w_set((1, 2, 1, 2))
     [(1, 2, 4, 3), (2, 1, 3, 4)]
     """
+    gamma = clans.normalize(gamma)
     p, q = clans.signature(gamma)
     n = p + q
     check_guard(n, guard, DEFAULT_PERM_GUARD, f"w_set over S_{n}")

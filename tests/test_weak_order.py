@@ -232,15 +232,14 @@ def test_graph_exports():
     assert dot.startswith("digraph")
     assert '"(+,-)" -> "(1,1)" [label=1];' in dot
     doc = W.graph_json_dict(g)
-    assert doc["nodes"] == ["(+,-)", "(-,+)", "(1,1)"]
-    assert list(doc["edges"]) == [
-        {"src": "(+,-)", "dst": "(1,1)", "root": 1, "mult": 1},
-        {"src": "(-,+)", "dst": "(1,1)", "root": 1, "mult": 1},
-    ]
-    # one-shot, so not plain JSON until the edges are listed
+    assert (doc["p"], doc["q"], doc["nodes"]) == (1, 1, ["(+,-)", "(-,+)", "(1,1)"])
+    # (src, dst, root) rows in iter_edges order, made as they are read
+    assert list(doc["edges"]) == [("(+,-)", "(1,1)", 1), ("(-,+)", "(1,1)", 1)]
     assert list(doc["edges"]) == []
-    with pytest.raises(TypeError):
-        json.dumps(W.graph_json_dict(g))
+    g = W.weak_order_graph(3, 2)
+    rows = list(W.graph_json_dict(g)["edges"])
+    text = C.format_clan
+    assert rows == [(text(src), text(dst), root) for src, dst, root in W.iter_edges(g)]
 
 
 def test_edges_are_the_streamed_edges():
@@ -475,6 +474,20 @@ def test_w_set_alternating_clan_double_factorial(n):
     # |W| = (n-1)!!, checked against the length-slice scan for n = 2..9 only
     gamma = tuple("+-"[k % 2] for k in range(n))
     assert len(W.w_set(gamma)) == prod(range(n - 1, 0, -2))
+
+
+def test_w_set_normalizes_what_it_is_given():
+    # any labeling gets its canonical clan's w-set, and a sequence that is
+    # not a clan is refused before the shared table is read or written
+    assert W.w_set((2, 1, 2, 1)) == W.w_set([1, 2, 1, 2]) == [(1, 2, 4, 3), (2, 1, 3, 4)]
+    assert W.brion_class((2, "+", 2)) == {(1, 2, 3): 1}
+    stored = W.w_set_table_size()
+    with pytest.raises(ValueError, match="bad clan symbol 'x'"):
+        W.w_set(("x", "+"))
+    with pytest.raises(ValueError, match=r"unmatched pair label\(s\) \[1, 2\]"):
+        W.w_set((1, 2))
+    assert W.w_set_table_size() == stored
+    assert (2, 1, 1, 2) not in W._W_SET_TABLE
 
 
 def test_w_set_guard():
