@@ -7,10 +7,13 @@ of matching labels matter, so (1,2,1,2), (2,1,2,1) and (5,7,5,7) are the
 same clan.  We keep a unique representative: labels are 1, 2, 3, ... in
 order of first occurrence, and every function in this package returns
 clans in that canonical form.  Equality and hashing of the plain tuples
-then implement clan equality.  Clans are validated only where they come in
-(:func:`normalize`, :func:`parse_clan`, and ``weak_order.w_set``, which
-normalizes what it is given); inside the package the canonical tuples are
-trusted and rebuilt with the unchecked :func:`relabel`.
+then implement clan equality.  Clans are validated only where they come in:
+:func:`normalize`, :func:`parse_clan`, ``weak_order.w_set``,
+``weak_order.act_word`` (and so ``act``) and ``richardson.pair_of_clan``
+normalize any labeling and raise ValueError on a non-clan.  The rest,
+``weak_order.act_simple``, ``classify_root`` and the counting functions
+among them, trust the canonical tuples they are given and rebuild them
+with the unchecked :func:`relabel`.
 
 The counting functions ``gamma_plus``, ``gamma_minus`` and ``gamma_cross``,
 the clan length and the orbit dimension are the combinatorial invariants of
@@ -256,20 +259,18 @@ def enumerate_clans(p: int, q: int, guard: int | None = None) -> list[Clan]:
     n = p + q
     what = f"enumeration of ({p},{q})-clans"
     # n * C(n, min(p, q)), the symbols of count_clans's k = 0 term, is a
-    # lower bound.  Built a factor at a time, C(n, i) at least doubling,
-    # it passes any guard within a few steps, so a huge shape is refused
-    # before count_clans works through its big integers.
-    limit = DEFAULT_CLAN_GUARD if guard is None else guard
+    # lower bound.  Checked as it grows a factor at a time, C(n, i) at least
+    # doubling, it passes any guard within a few steps, so a huge shape is
+    # refused before count_clans works through its big integers.
     least = n
-    for i in range(1, min(p, q) + 1):
-        if least > limit:
-            break
-        least = least * (n + 1 - i) // i
     check_guard(least, guard, DEFAULT_CLAN_GUARD, what, at_least=True)
+    for i in range(1, min(p, q) + 1):
+        least = least * (n + 1 - i) // i
+        check_guard(least, guard, DEFAULT_CLAN_GUARD, what, at_least=True)
     check_guard(count_clans(p, q) * n, guard, DEFAULT_CLAN_GUARD, what)
     if not p or not q:
         # the one sign-only clan, which the DFS would reach n frames deep
-        return [(PLUS,) * p + (MINUS,) * q]
+        return [dense_clan(p, q)]
 
     out: list[Clan] = []
     symbols: list[Symbol] = []

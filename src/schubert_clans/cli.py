@@ -318,11 +318,10 @@ def cmd_table1(args) -> tuple[str, int]:
 
     rows = []
     for row in golden["rows"]:
-        word = tuple(row["word"])
-        reached = weak_order.act_word(word, start)
+        reached = weak_order.act_word(row["word"], start)
         rows.append(
             {
-                "word": list(word),
+                "word": row["word"],
                 "clan": clans.format_clan(reached),
                 "constant": 1 if reached == dense else 0,
             }
@@ -336,12 +335,8 @@ def cmd_table1(args) -> tuple[str, int]:
         "rows": rows,
     }
     match = _dumps(regenerated).encode() == golden_bytes
-
-    diffs = []
-    if not match:
-        for i, (got, want) in enumerate(zip(rows, golden["rows"])):
-            if got != want:
-                diffs.append({"row": i, "got": got, "want": want})
+    compared = enumerate(zip(rows, golden["rows"]))
+    diffs = [{"row": i, "got": got, "want": want} for i, (got, want) in compared if got != want]
     output = {
         "bytes_match": match,
         "diffs": diffs,

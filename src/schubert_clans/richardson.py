@@ -137,7 +137,8 @@ def _clan(u: Perm, v: Perm, p: int) -> Clan:
 
 
 def pair_of_clan(gamma: Clan) -> tuple[Perm, Perm]:
-    """Invert :func:`clan_of_pair` on a (1,2,1,2)-avoiding clan.
+    """Invert :func:`clan_of_pair` on a (1,2,1,2)-avoiding clan, normalized
+    first: any labeling gets the canonical pair; a non-clan raises ValueError.
 
     u places p..1 on the pluses and second occurrences and n..p+1 on the
     minuses and first occurrences; v places 1..p on the pluses and first
@@ -146,6 +147,7 @@ def pair_of_clan(gamma: Clan) -> tuple[Perm, Perm]:
     >>> pair_of_clan(('+', '-', 1, 2, 2, 1))
     ((3, 6, 5, 4, 2, 1), (1, 4, 2, 3, 5, 6))
     """
+    gamma = clans.normalize(gamma)
     if not clans.avoids_1212(gamma):
         raise ValueError(
             f"clan {clans.format_clan(gamma)} contains the interleaved pattern (1,2,1,2) "
@@ -221,15 +223,13 @@ def ascending_shuffles(n: int, p: int) -> list[Perm]:
     """All C(n,p) ascending shuffles at p, in lexicographic order."""
     if not 0 <= p <= n:
         raise ValueError(f"block size p must lie in 0..{n}, got {p}")
-    out = []  # low values are below high ones, so combinations() order is lexicographic
-    for low_positions in combinations(range(n), p):
-        w = [0] * n
-        low_iter, high_iter = iter(range(1, p + 1)), iter(range(p + 1, n + 1))
-        low_set = set(low_positions)
-        for pos in range(n):
-            w[pos] = next(low_iter) if pos in low_set else next(high_iter)
-        out.append(tuple(w))
-    return out
+    # w's inverse lists the positions of 1..p, then those of p+1..n; low values
+    # are below high ones, so combinations() order is lexicographic
+    positions = range(1, n + 1)
+    return [
+        permutations.inverse(low + tuple(i for i in positions if i not in low))
+        for low in combinations(positions, p)
+    ]
 
 
 def admissible_pairs(n: int, p: int) -> Iterator[tuple[Perm, Perm]]:

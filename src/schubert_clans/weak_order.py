@@ -44,7 +44,7 @@ class RootType(enum.Enum):
 
 
 def classify_root(i: int, gamma: Clan) -> RootType:
-    """Which action rule (if any) applies to gamma at index i."""
+    """Which action rule (if any) applies to the canonical clan gamma at i, unchecked."""
     if act_simple(i, gamma) is gamma:
         return RootType.FIXED
     if type(gamma[i - 1]) is str and type(gamma[i]) is str:
@@ -55,7 +55,8 @@ def classify_root(i: int, gamma: Clan) -> RootType:
 def act_simple(i: int, gamma: Clan) -> Clan:
     """s_i acting on gamma by the rules of the module docstring; returns
     gamma itself in the fixed case, and a new tuple exactly when s_i moves
-    gamma, so callers test ``is gamma``.
+    gamma, so callers test ``is gamma``.  The hot kernel of the graph and
+    the w-set, it trusts gamma to be a canonical clan.
 
     >>> act_simple(2, ('+', '+', '-', '-'))
     ('+', 1, 1, '-')
@@ -88,11 +89,13 @@ def act_simple(i: int, gamma: Clan) -> Clan:
 
 
 def act_word(word: Sequence[int], gamma: Clan) -> Clan:
-    """Apply a word of simple-root indices, rightmost letter first.
+    """Apply a word of simple-root indices, rightmost letter first, to gamma
+    normalized first: any labeling gives the canonical clan; a non-clan raises ValueError.
 
     >>> act_word((2, 1, 3, 2, 3, 4), ('+', '-', '+', '-', '+'))
     (1, 2, '+', 2, 1)
     """
+    gamma = clans.normalize(gamma)
     for i in reversed(tuple(word)):
         gamma = act_simple(i, gamma)
     return gamma

@@ -216,7 +216,7 @@ def test_enumerate_guard():
     with pytest.raises(GuardError):
         C.enumerate_clans(7, 6)
     # a thin shape has few clans, but long ones: 45,451 clans of length 301
-    with pytest.raises(GuardError):
+    with pytest.raises(GuardError, match=r"needs size 13680751, above the guard 12000000;"):
         C.enumerate_clans(1, 300)
 
 
@@ -227,8 +227,14 @@ def test_enumerate_guard_refuses_huge_shapes_without_counting(monkeypatch):
         raise AssertionError("count_clans ran on a shape its lower bound refuses")
 
     monkeypatch.setattr(C, "count_clans", no_count)
-    for p, q in [(30000, 30000), (100000, 100000), (10**9, 10**9), (0, 10**9), (1, 10**6)]:
-        with pytest.raises(GuardError, match=r"needs size at least \d+, above the guard 12000000;"):
+    for p, q, least in [
+        (30000, 30000, 3_600_000_000),
+        (100000, 100000, 40_000_000_000),
+        (10**9, 10**9, 2_000_000_000),
+        (0, 10**9, 1_000_000_000),
+        (1, 10**6, 1_000_002_000_001),
+    ]:
+        with pytest.raises(GuardError, match=rf"needs size at least {least}, above the guard 12000000;"):
             C.enumerate_clans(p, q)
     monkeypatch.undo()
     # once the bound fits, the exact count decides: 13 * C(13, 6) fits, but

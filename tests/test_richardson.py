@@ -130,6 +130,18 @@ def test_pair_of_clan_worked_examples():
         R.pair_of_clan((1, 2, 1, 2))
 
 
+def test_pair_of_clan_normalizes_its_clan():
+    # a malformed clan raises ValueError, never a StopIteration that would
+    # end a caller's map early
+    for bad in [("+", 1), (1, 1, 1), ("x", "+")]:
+        with pytest.raises(ValueError):
+            R.pair_of_clan(bad)
+    with pytest.raises(ValueError):
+        list(map(R.pair_of_clan, [(1, 1), ("+", 1), ("-", "+")]))
+    # any labeling gets the canonical clan's pair
+    assert R.pair_of_clan((2, 2)) == R.pair_of_clan([1, 1]) == ((2, 1), (1, 2))
+
+
 @pytest.mark.parametrize("total", [2, 3, 4])
 def test_roundtrips(total):
     for p in range(total + 1):

@@ -24,7 +24,6 @@ UNREFERENCED_PUBLIC = {
     "clans.orbit_dimension": "paper invariant: dimension of the clan's orbit",
     "clans.is_sign_only": "paper object: the clans of the closed orbits",
     "permutations.code": "the Lehmer code that names the oracle's leading terms",
-    "permutations.inverse": "basic operation of the permutation API",
     # the MultiPoly wrappers over the kernels oracle_product runs on
     "oracle.schubert_poly": "kept only for perfbench, which reads its coeffs and traces it",
     "oracle.multiply": "kept only for perfbench, which traces it",

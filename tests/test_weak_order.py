@@ -131,6 +131,14 @@ def test_act_word_empty_and_errors():
     assert W.act_word((), gamma) == gamma
     with pytest.raises(IndexError):
         W.act_word((4,), gamma)
+    # the clan is normalized first: a non-clan raises, a relabeled clan
+    # gives a canonical result
+    with pytest.raises(ValueError):
+        W.act_word((1,), ("+", 1))
+    with pytest.raises(ValueError):
+        W.act((2, 1), ("x", "+"))
+    assert W.act((2, 1, 3, 4), (5, "-", 5, "+")) == (1, "-", 1, "+")
+    assert W.act_word((), (7, 7)) == (1, 1)
 
 
 def test_act_word_splits():
