@@ -22,7 +22,7 @@ the GL(p) x GL(q) orbit on the flag variety that the clan encodes.
 
 from __future__ import annotations
 
-import sys
+import itertools
 from math import comb
 from typing import Iterable, Union
 
@@ -251,8 +251,10 @@ def enumerate_clans(p: int, q: int, guard: int | None = None) -> list[Clan]:
     + < - < open-new-pair < close-of-label-1 < close-of-label-2 < ...
     which keeps golden files stable.  The clan guard caps the symbols
     listed, count_clans(p, q) * (p + q), and is checked before any clan
-    is made.  The DFS takes one frame per symbol; a shape too long for
-    the recursion limit raises ValueError.
+    is made.  The DFS walks an explicit stack, so no shape is too long
+    for it, and two tail rules end a branch early: with only closings
+    left the rest is every order of the open labels, and with one kind
+    of sign left and no pair open the rest is forced.
     """
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError(f"need p, q >= 0 with p + q >= 1, got ({p}, {q})")
@@ -268,46 +270,30 @@ def enumerate_clans(p: int, q: int, guard: int | None = None) -> list[Clan]:
         least = least * (n + 1 - i) // i
         check_guard(least, guard, DEFAULT_CLAN_GUARD, what, at_least=True)
     check_guard(count_clans(p, q) * n, guard, DEFAULT_CLAN_GUARD, what)
-    if not p or not q:
-        # the one sign-only clan, which the DFS would reach n frames deep
-        return [dense_clan(p, q)]
 
     out: list[Clan] = []
-    symbols: list[Symbol] = []
-    open_labels: list[int] = []
-
-    def fill(pos: int, plus_used: int, minus_used: int, opened: int) -> None:
-        if pos == n:
-            out.append(tuple(symbols))
-            return
-        if plus_used + opened < p:
-            symbols.append(PLUS)
-            fill(pos + 1, plus_used + 1, minus_used, opened)
-            symbols.pop()
-        if minus_used + opened < q:
-            symbols.append(MINUS)
-            fill(pos + 1, plus_used, minus_used + 1, opened)
-            symbols.pop()
-        if plus_used + opened < p and minus_used + opened < q:
-            label = opened + 1
-            symbols.append(label)
-            open_labels.append(label)
-            fill(pos + 1, plus_used, minus_used, opened + 1)
-            open_labels.pop()
-            symbols.pop()
-        for idx in range(len(open_labels)):
-            label = open_labels[idx]
-            symbols.append(label)
-            del open_labels[idx]
-            fill(pos + 1, plus_used, minus_used, opened)
-            open_labels.insert(idx, label)
-            symbols.pop()
-
-    try:
-        fill(0, 0, 0, 0)
-    except RecursionError:
-        limit = sys.getrecursionlimit()
-        raise ValueError(f"({p},{q})-clans need {n} DFS frames, past the recursion limit {limit}") from None
+    # (symbols, p_left, q_left, pairs, open_labels): a pair takes one of the
+    # pluses and one of the minuses left, and open_labels is ascending
+    stack: list[tuple[Clan, int, int, int, tuple[int, ...]]] = [((), p, q, 0, ())]
+    while stack:
+        symbols, p_left, q_left, pairs, open_labels = stack.pop()
+        if not p_left and not q_left:
+            # permutations of an ascending tuple come in the DFS's order
+            out.extend(symbols + rest for rest in itertools.permutations(open_labels))
+        elif not open_labels and not (p_left and q_left):
+            out.append(symbols + (PLUS,) * p_left + (MINUS,) * q_left)
+        else:
+            # pushed last-first, so the choices come off in the order above
+            for i in reversed(range(len(open_labels))):
+                rest = open_labels[:i] + open_labels[i + 1 :]
+                stack.append((symbols + (open_labels[i],), p_left, q_left, pairs, rest))
+            if p_left and q_left:
+                new = pairs + 1
+                stack.append((symbols + (new,), p_left - 1, q_left - 1, new, open_labels + (new,)))
+            if q_left:
+                stack.append((symbols + (MINUS,), p_left, q_left - 1, pairs, open_labels))
+            if p_left:
+                stack.append((symbols + (PLUS,), p_left - 1, q_left, pairs, open_labels))
     return out
 
 

@@ -33,12 +33,13 @@ The clan guard is checked before the first write, so a refused call
 prints nothing to stdout.
 
 Exit status: 0 on success, 1 when a verification or golden-data comparison
-fails, 2 on bad input or an exceeded guard.
+fails or a write finds stdout closed, 2 on bad input or an exceeded guard.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -423,10 +424,17 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         output, status = args.handler(args)
+        sys.stdout.write(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the output ends here: closing drops what is still buffered, so the
+        # exit flush has nothing to report; Python's SIGPIPE note exits 1
+        with contextlib.suppress(BrokenPipeError):
+            sys.stdout.close()
+        return 1
     except (ValueError, IndexError, GuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(output)
     elapsed = time.perf_counter() - started
     print(f"# {args.subcommand}: {elapsed:.3f}s", file=sys.stderr)
     return status

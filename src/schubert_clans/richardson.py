@@ -49,6 +49,8 @@ def _require_shuffles(u: Perm, v: Perm, p: int, x: Perm | None = None) -> None:
     and y, the permutations the caller gave."""
     if len(u) != len(v):
         raise ValueError(f"degree mismatch: {len(u)} vs {len(v)}")
+    if not u:
+        raise ValueError("degree must be >= 1, got 0")
     permutations.require_perm("u", u)
     permutations.require_perm("v" if x is None else "y", v)
     if not permutations.is_descending_shuffle(u, p):
@@ -221,6 +223,8 @@ def descending_shuffles(n: int, p: int) -> list[Perm]:
 
 def ascending_shuffles(n: int, p: int) -> list[Perm]:
     """All C(n,p) ascending shuffles at p, in lexicographic order."""
+    if n < 1:
+        raise ValueError(f"degree must be >= 1, got {n}")
     if not 0 <= p <= n:
         raise ValueError(f"block size p must lie in 0..{n}, got {p}")
     # w's inverse lists the positions of 1..p, then those of p+1..n; low values

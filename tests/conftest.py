@@ -16,7 +16,9 @@ each leader and its inverse, and :func:`oracle_product_2n`, the oracle in
 ``oracle.MultiPoly`` is only their container.  The exception is
 :func:`w_set_scan`, the w-set by its definition, built from the package's
 action and length slices.  :func:`avoids_1212_pairwise` is the pattern
-test by its definition, every two pairs compared.
+test by its definition, every two pairs compared.  :func:`clans_by_matching`
+lists the (p,q)-clans from matchings of positions and signs on the rest,
+and :func:`dfs_rank` is the key that sorts them into the listing's order.
 :func:`packed_divdiff` and :func:`packed_expand` are no references: they
 hand a ``MultiPoly`` to the oracle's private kernels, for the tests that
 pin properties of those kernels.
@@ -192,6 +194,52 @@ def avoids_1212_pairwise(gamma) -> bool:
             positions.setdefault(s, []).append(pos)
     pairs = list(positions.values())
     return not any(s1 < s2 < t1 < t2 for s1, t1 in pairs for s2, t2 in pairs)
+
+
+def _matchings(positions):
+    """Every perfect matching of the tuple positions, as a tuple of pairs."""
+    if not positions:
+        yield ()
+        return
+    first, rest = positions[0], positions[1:]
+    for j, other in enumerate(rest):
+        for matching in _matchings(rest[:j] + rest[j + 1 :]):
+            yield ((first, other),) + matching
+
+
+def clans_by_matching(p, q) -> list:
+    """Every (p,q)-clan, in no set order: for each k, each 2k positions
+    matched every way, the rest given p - k pluses and q - k minuses, and
+    the labels put through clans.normalize."""
+    n = p + q
+    out = []
+    for k in range(min(p, q) + 1):
+        for paired in itertools.combinations(range(n), 2 * k):
+            rest = [i for i in range(n) if i not in paired]
+            for matching in _matchings(paired):
+                for plus in itertools.combinations(rest, p - k):
+                    raw = ["+" if i in plus else "-" for i in range(n)]
+                    for label, (a, b) in enumerate(matching, start=1):
+                        raw[a] = raw[b] = label
+                    out.append(clans.normalize(raw))
+    return out
+
+
+def dfs_rank(gamma) -> tuple:
+    """Position by position: 0 for '+', 1 for '-', 2 for a first occurrence
+    and 3 + i for closing the i-th smallest label still open."""
+    open_labels = []
+    key = []
+    for s in gamma:
+        if s == "+" or s == "-":
+            key.append("+-".index(s))
+        elif s in open_labels:
+            key.append(3 + open_labels.index(s))
+            open_labels.remove(s)
+        else:
+            key.append(2)
+            open_labels.append(s)
+    return tuple(key)
 
 
 def w_set_scan(gamma) -> list:

@@ -5,7 +5,7 @@ import pytest
 from schubert_clans import clans as C
 from schubert_clans.guards import DEFAULT_CLAN_GUARD, GuardError
 
-from conftest import avoids_1212_pairwise
+from conftest import avoids_1212_pairwise, clans_by_matching, dfs_rank
 
 
 # parsing and the matching-position equivalence
@@ -204,6 +204,15 @@ def test_enumeration_count_formula(p, q):
     assert len(signs) == comb(n, p)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumeration_order_against_reference(n):
+    # the documented order, + < - < open < close of the i-th smallest open
+    # label, applied to clans listed without enumerate_clans
+    for p in range(n + 1):
+        want = sorted(clans_by_matching(p, n - p), key=dfs_rank)
+        assert C.enumerate_clans(p, n - p) == want, (p, n - p)
+
+
 def test_enumerate_guard():
     # the guard caps the symbols listed, count_clans(p, q) * (p + q)
     assert len(C.enumerate_clans(2, 2, guard=84)) == 21
@@ -244,7 +253,7 @@ def test_enumerate_guard_refuses_huge_shapes_without_counting(monkeypatch):
 
 
 def test_enumerate_sign_only_shapes_at_any_length():
-    # one clan however long, listed without a DFS frame per symbol
+    # one clan however long: the forced-tail rule writes it in one step
     assert C.enumerate_clans(0, 5000) == [(C.MINUS,) * 5000]
     assert C.enumerate_clans(3, 0) == [(C.PLUS,) * 3]
 

@@ -529,9 +529,9 @@ def test_clans_listing(capsys):
 
 
 @pytest.mark.parametrize("subcommand", ["clans", "graph"])
-def test_listing_past_the_recursion_limit_exits_2(capsys, subcommand):
-    # the clan DFS takes one frame per symbol, 201 here, and the lowered
-    # limit leaves it 150 frames above this test
+def test_listing_past_the_recursion_limit(capsys, subcommand):
+    # 201 symbols per clan, with the limit 150 frames above this test: the
+    # listing walks an explicit stack, so its depth is not the clan length
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 150)
     try:
@@ -540,8 +540,10 @@ def test_listing_past_the_recursion_limit_exits_2(capsys, subcommand):
         )
     finally:
         sys.setrecursionlimit(limit)
-    assert (code, out) == (2, "")
-    assert err.startswith("error: (1,200)-clans need 201 DFS frames, past the recursion limit ")
+    assert code == 0, err
+    output = json.loads(out)["output"]
+    listed = output["count"] if subcommand == "clans" else len(output["nodes"])
+    assert listed == clans.count_clans(1, 200) == 20_301
 
 
 def test_verify_small(capsys):
@@ -608,6 +610,22 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["output"]["clan"] == "(1,1)"
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_graph_into_a_closed_pipe_exits_1_quietly(fmt):
+    # the reader takes 100 bytes and closes the pipe, as `| head -c 100` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schubert_clans.cli", "graph", "--p", "4", "--q", "4", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1, err
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_unknown_subcommand_exits_2():

@@ -43,6 +43,23 @@ def test_shuffle_lists_refuse_a_bad_block_size():
         R.descending_shuffles(3, 4)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: R.ascending_shuffles(0, 0),
+        lambda: R.descending_shuffles(0, 0),
+        lambda: list(R.admissible_pairs(0, 0)),
+        lambda: R.clan_of_pair((), (), 0),
+        lambda: R.shuffles_comparable((), (), 0),
+    ],
+    ids=["ascending_shuffles", "descending_shuffles", "admissible_pairs", "clan_of_pair", "shuffles_comparable"],
+)
+def test_degree_0_is_refused(call):
+    # a degree-0 pair would have the empty clan, which clans.normalize refuses
+    with pytest.raises(ValueError, match="degree must be >= 1, got 0"):
+        call()
+
+
 def test_clan_of_pair_refuses_a_bad_block_size():
     # the descending-shuffle test checks p; the permutations are checked first
     with pytest.raises(ValueError, match=r"block size p must lie in 0\.\.3, got 4"):

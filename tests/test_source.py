@@ -43,7 +43,6 @@ UNREFERENCED_PUBLIC = {
 # The Python stack bounds their depth, so a new one must say why its depth
 # stays small.
 RECURSIVE = {
-    "clans.enumerate_clans.fill": "a RecursionError becomes a ValueError, and sign-only shapes are answered before the DFS",
     "cli._write": "its depth is the report's nesting",
 }
 
