@@ -18,19 +18,19 @@ bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)``, but
 the C escaper ``json.dumps`` uses (``encode_basestring_ascii``), each
 ``int`` to ``int.__repr__`` and every other atom to ``json.dumps``.
 
-Reports are built whole and written once, except ``graph``'s, which is
-written while it is made.  Its handler passes ``sys.stdout`` to
-:func:`_report`; each array writes the pieces gathered so far every
-``_FLUSH_PIECES`` pieces, and the handler returns only the rest.
+Every JSON report is written while it is made: :func:`_report` hands
+``sys.stdout`` to :func:`_dumps`, each array writes the pieces gathered so
+far every ``_FLUSH_PIECES`` pieces, and the handler returns only the rest.
+An array whose items share one layout is a :class:`_Rows`: ``graph``'s
+edges, one edge with a slot for each of ``dst``, ``root`` and ``src``, and
+``clans``'s texts, one slot each.  ``_write`` writes that shape once, at
+the array's indent, and each item's text is one ``%``-format of its row.
 ``weak_order.graph_json_dict`` hands out the edges as ``(src, dst, root)``
-rows, and the handler alone gives them their JSON record: a
-:class:`_Rows` whose shape is one edge with a slot for each of ``dst``,
-``root`` and ``src``.  ``_write`` writes that shape once, at the edges'
-indent, and each edge's text is one ``%``-format of its row.  DOT goes
-out a line at a time, nodes then edges, through the stream's own buffer.
-So the graph's edges and the report's text are never all held at once.
-The clan guard is checked before the first write, so a refused call
-prints nothing to stdout.
+rows, and the ``graph`` handler alone gives them their JSON record.  The
+``clans`` text and the DOT graph go out a line at a time through the
+stream's own buffer.  So no listing's text, and no graph's edges, are ever
+all held at once.  The guards are checked before the first write, so a
+refused call prints nothing to stdout.
 
 Exit status: 0 on success, 1 when a verification or golden-data comparison
 fails or a write finds stdout closed, 2 on bad input or an exceeded guard.
@@ -151,10 +151,10 @@ def _template(shape, newline: str) -> str:
     return "".join(out).replace("%", "%%").replace(encode_basestring_ascii(_SLOT), "%s")
 
 
-def _report(args, output, stream=None, **rest) -> str:
+def _report(args, output, **rest) -> str:
     inputs = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
     doc = {"command": args.subcommand, "inputs": inputs, "output": output, **rest}
-    return _dumps(doc, stream)
+    return _dumps(doc, sys.stdout)
 
 
 def _expansion_json(x, y, p, expansion) -> dict:
@@ -256,18 +256,16 @@ def cmd_graph(args) -> tuple[str, int]:
         {"dst": _SLOT, "mult": 1, "root": _SLOT, "src": _SLOT},
         ((quote(dst), root, quote(src)) for src, dst, root in doc["edges"]),
     )
-    return _report(args, doc, sys.stdout), 0
+    return _report(args, doc), 0
 
 
 def cmd_clans(args) -> tuple[str, int]:
     listing = clans.enumerate_clans(args.p, args.q, guard=args.clan_guard)
     if args.format == "text":
-        return "".join(clans.format_clan(g) + "\n" for g in listing), 0
-    output = {
-        "clans": [clans.format_clan(g) for g in listing],
-        "count": len(listing),
-    }
-    return _report(args, output), 0
+        sys.stdout.writelines(clans.format_clan(g) + "\n" for g in listing)
+        return "", 0
+    rows = ((encode_basestring_ascii(clans.format_clan(g)),) for g in listing)
+    return _report(args, {"clans": _Rows(_SLOT, rows), "count": len(listing)}), 0
 
 
 def cmd_verify(args) -> tuple[str, int]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Generator, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import clans, permutations
 from .clans import Clan
@@ -189,41 +189,42 @@ def w_set_table_size() -> int:
 
 def _descend(gamma: Clan, dense: Clan, n: int) -> tuple[Perm, ...]:
     """W(gamma) from the table, computing and storing it, and the w-sets of
-    the clans above it, when missing.  The clans open on the way up can
-    outnumber the recursion limit, so each is a generator on a stack."""
-    stack, got = [_climb(gamma, dense, n)], None
-    while stack:
-        try:
-            stack.append(_climb(stack[-1].send(got), dense, n))
-            got = None
-        except StopIteration as done:
-            stack.pop()
-            got = done.value
-    return got
-
-
-def _climb(clan: Clan, dense: Clan, n: int) -> Generator[Clan, tuple[Perm, ...], tuple[Perm, ...]]:
-    """W(clan), for :func:`_descend`: yields each clan above whose w-set is
-    not stored, and is sent that w-set back."""
-    got = _W_SET_TABLE.get(clan)
-    if got is not None:
-        return got
-    if clan == dense:
-        return _W_SET_TABLE.put(clan, (permutations.identity(n),))
-    acc: set[Perm] = set()
-    for i in range(1, n):
-        up = act_simple(i, clan)
-        if up is clan:
+    the clans above it, when missing.  A breadth-first listing up from gamma
+    reads each clan's stored w-set once and expands only the clans the table
+    lacks.  Every move raises orbit dimension by one, so the listing runs in
+    layer order, and the build, in reverse, has the w-set of every clan one
+    move up before it needs it."""
+    listing, seen, found, moves = [gamma], {gamma: gamma}, {}, {}
+    for clan in listing:  # grows while it is read
+        got = _W_SET_TABLE.get(clan)
+        if got is None and clan == dense:
+            got = _W_SET_TABLE.put(clan, (permutations.identity(n),))
+        if got is not None:
+            found[clan] = got
             continue
-        for w in _W_SET_TABLE.get(up) or (yield up):
-            if w[i - 1] > w[i]:
-                # s_i raises the clan, so w.s_i is one longer than w
-                raise RuntimeError(
-                    f"w-set of {clans.format_clan(up)} holds {permutations.format_perm(w)}, "
-                    f"which descends at root {i}, below {clans.format_clan(clan)}"
-                )
-            acc.add(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :])
-    return _W_SET_TABLE.put(clan, tuple(sorted(acc)))
+        moves[clan] = []
+        for i in range(1, n):
+            up = act_simple(i, clan)
+            if up is not clan:
+                # one tuple per clan, however many moves reach it
+                known = seen.setdefault(up, up)
+                if known is up:
+                    listing.append(up)
+                moves[clan].append((i, known))
+    while moves:  # last listed first: reverse breadth-first order
+        clan, ups = moves.popitem()
+        acc: set[Perm] = set()
+        for i, up in ups:
+            for w in found[up]:
+                if w[i - 1] > w[i]:
+                    # s_i raises the clan, so w.s_i is one longer than w
+                    raise RuntimeError(
+                        f"w-set of {clans.format_clan(up)} holds {permutations.format_perm(w)}, "
+                        f"which descends at root {i}, below {clans.format_clan(clan)}"
+                    )
+                acc.add(w[: i - 1] + (w[i], w[i - 1]) + w[i + 1 :])
+        found[clan] = _W_SET_TABLE.put(clan, tuple(sorted(acc)))
+    return found[gamma]
 
 
 def w_set(gamma: Clan, guard: int | None = None) -> list[Perm]:

@@ -19,6 +19,8 @@ action and length slices.  :func:`avoids_1212_pairwise` is the pattern
 test by its definition, every two pairs compared.  :func:`clans_by_matching`
 lists the (p,q)-clans from matchings of positions and signs on the rest,
 and :func:`dfs_rank` is the key that sorts them into the listing's order.
+:func:`fingerprint` evaluates S_w at a point modulo 2^61 - 1 by the
+transition formula, on integers alone.
 :func:`packed_divdiff` and :func:`packed_expand` are no references: they
 hand a ``MultiPoly`` to the oracle's private kernels, for the tests that
 pin properties of those kernels.
@@ -358,6 +360,54 @@ def schubert_reference(w, m) -> dict:
     if any(exps[m:] != (0,) * (k - m) for exps in poly):
         raise ValueError(f"S_{tuple(w)} needs more than m = {m} variables")
     return {exps[:m] + (0,) * (m - k): c for exps, c in poly.items()}
+
+
+# The Mersenne prime 2^61 - 1, the modulus of every fingerprint
+FINGERPRINT_PRIME = 2**61 - 1
+# S_w(a) mod FINGERPRINT_PRIME by w, one dict per point a
+_FINGERPRINTS: dict = {}
+
+
+def _transition(w):
+    """(r, v, ups) for w != e in the transition formula: r is the last
+    descent of w, s the largest j > r with w(j) < w(r), v = w t_rs, and
+    ups lists each v t_ir with i < r and l(v t_ir) = l(w), that is
+    v(i) < v(r) with no v(k) between them for i < k < r (1-indexed)."""
+    n = len(w)
+    r = max(k for k in range(1, n) if w[k - 1] > w[k])
+    s = max(j for j in range(r + 1, n + 1) if w[j - 1] < w[r - 1])
+    v = list(w)
+    v[r - 1], v[s - 1] = v[s - 1], v[r - 1]
+    ups = []
+    for i in range(1, r):
+        if v[i - 1] < v[r - 1] and not any(v[i - 1] < v[k - 1] < v[r - 1] for k in range(i + 1, r)):
+            up = list(v)
+            up[i - 1], up[r - 1] = up[r - 1], up[i - 1]
+            ups.append(tuple(up))
+    return r, tuple(v), ups
+
+
+def fingerprint(w, point) -> int:
+    """S_w(point) modulo FINGERPRINT_PRIME by the Lascoux-Schutzenberger
+    transition formula S_w = x_r S_v + sum S_(v t_ir) of :func:`_transition`,
+    down to S_e = 1: integers only, no polynomial.  Memoized per point, with
+    an explicit stack; the point needs at least len(w) - 1 coordinates."""
+    memo = _FINGERPRINTS.setdefault(tuple(point), {})
+    stack = [tuple(w)]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+        elif all(a < b for a, b in zip(u, u[1:])):
+            memo[u] = 1
+        else:
+            r, v, ups = _transition(u)
+            missing = [t for t in (v, *ups) if t not in memo]
+            if missing:
+                stack.extend(missing)
+            else:
+                memo[u] = (point[r - 1] * memo[v] + sum(memo[t] for t in ups)) % FINGERPRINT_PRIME
+    return memo[tuple(w)]
 
 
 def _packed(poly):

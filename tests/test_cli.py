@@ -390,13 +390,8 @@ class _Discard(io.TextIOBase):
         return len(text)
 
 
-@pytest.mark.parametrize("fmt", ["json", "dot"])
-def test_graph_export_memory_is_bounded(fmt):
-    # a report built whole before printing holds every edge several times
-    # over: 53.4 MB (JSON) and 19.8 MB (DOT) at this shape.  Streamed, JSON
-    # peaks at 2.9 MB with _FLUSH_PIECES = 2048 and 3.8 MB with 8192, and
-    # DOT at 2.2 MB
-    argv = ["graph", "--p", "4", "--q", "5", "--format", fmt]
+def _traced_peak(argv) -> int:
+    """Peak traced memory of one CLI call whose output is thrown away."""
     with contextlib.redirect_stdout(_Discard()), contextlib.redirect_stderr(io.StringIO()):
         tracemalloc.start()
         try:
@@ -405,7 +400,25 @@ def test_graph_export_memory_is_bounded(fmt):
         finally:
             tracemalloc.stop()
     assert code == 0
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_graph_export_memory_is_bounded(fmt):
+    # a report built whole before printing holds every edge several times
+    # over: 53.4 MB (JSON) and 19.8 MB (DOT) at this shape.  Streamed, JSON
+    # peaks at 2.9 MB with _FLUSH_PIECES = 2048 and 3.8 MB with 8192, and
+    # DOT at 2.2 MB
+    peak = _traced_peak(["graph", "--p", "4", "--q", "5", "--format", fmt])
     assert peak <= 3_500_000, f"{peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_clans_listing_memory_is_bounded(fmt):
+    # 45,297 clans: built whole, the report peaks at 15.1 MB (JSON) and
+    # 10.2 MB (text); streamed, at 6.2 and 5.6 MB, most of it the listing
+    peak = _traced_peak(["clans", "--p", "5", "--q", "5", "--format", fmt])
+    assert peak <= 8_000_000, f"{peak / 1e6:.2f} MB"
 
 
 def test_a_guard_is_not_echoed(capsys):
